@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"stdcelltune"
 	"stdcelltune/internal/core"
 	"stdcelltune/internal/dist"
 	"stdcelltune/internal/exp"
@@ -462,6 +463,22 @@ func BenchmarkAnalyzeDesign(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := stattime.Analyze(res.Timing, f.Stat, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCharacterize times the facade's Monte-Carlo characterization
+// at the paper's N = 50 on the typical corner: the delay-sample matrix
+// generated on the worker pool, then the fold. It runs at the same scale
+// whatever STC_BENCH says. BENCH_PR7.json gates its allocs_per_op, which
+// catches a return to building Liberty instances (about 3.4M allocations
+// per characterization, against about 49k for the sample matrix).
+func BenchmarkCharacterize(b *testing.B) {
+	cat := stdcelltune.NewCatalogue(stdcelltune.Typical)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := stdcelltune.CharacterizeCtx(context.Background(), cat, stdcelltune.CharacterizeOptions{Instances: 50, Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

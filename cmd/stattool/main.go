@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -34,7 +35,7 @@ func main() {
 	out := flag.String("out", "stat.lib", "output statistical library")
 	flag.Parse()
 
-	var libs []*liberty.Library
+	var stat *statlib.Library
 	switch {
 	case *gen > 0:
 		corner, err := stdcell.ParseCorner(*cornerFlag)
@@ -42,7 +43,13 @@ func main() {
 			log.Fatal(err)
 		}
 		cat := stdcell.NewCatalogue(corner)
-		libs = variation.Instances(cat, variation.Config{N: *gen, Seed: *seed, CharNoise: 0.02})
+		rows, err := variation.SamplesCtx(context.Background(), cat, variation.Config{N: *gen, Seed: *seed, CharNoise: 0.02})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if stat, err = statlib.FoldSamples("statistical", cat.Layout(), rows); err != nil {
+			log.Fatal(err)
+		}
 	case *in != "":
 		paths, err := filepath.Glob(*in)
 		if err != nil {
@@ -52,6 +59,7 @@ func main() {
 		if len(paths) < 2 {
 			log.Fatalf("glob %q matched %d files; need at least 2", *in, len(paths))
 		}
+		var libs []*liberty.Library
 		for _, p := range paths {
 			data, err := os.ReadFile(p)
 			if err != nil {
@@ -63,14 +71,13 @@ func main() {
 			}
 			libs = append(libs, lib)
 		}
+		if stat, err = statlib.Build("statistical", libs); err != nil {
+			log.Fatal(err)
+		}
 	default:
 		log.Fatal("need -in or -generate")
 	}
 
-	stat, err := statlib.Build("statistical", libs)
-	if err != nil {
-		log.Fatal(err)
-	}
 	f, err := os.Create(*out)
 	if err != nil {
 		log.Fatal(err)

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -57,8 +58,11 @@ func main() {
 	flag.Parse()
 
 	cat := stdcell.NewCatalogue(stdcell.Typical)
-	libs := variation.Instances(cat, variation.Config{N: *samples, Seed: *seed, CharNoise: 0.02})
-	stat, err := statlib.Build("stat", libs)
+	rows, err := variation.SamplesCtx(context.Background(), cat, variation.Config{N: *samples, Seed: *seed, CharNoise: 0.02})
+	if err != nil {
+		log.Fatal(err)
+	}
+	stat, err := statlib.FoldSamples("stat", cat.Layout(), rows)
 	if err != nil {
 		log.Fatal(err)
 	}

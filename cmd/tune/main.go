@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -70,9 +71,11 @@ func main() {
 		}
 	} else {
 		cat := stdcell.NewCatalogue(stdcell.Typical)
-		libs := variation.Instances(cat, variation.Config{N: *gen, Seed: *seed, CharNoise: 0.02})
-		var err error
-		stat, err = statlib.Build("stat", libs)
+		rows, err := variation.SamplesCtx(context.Background(), cat, variation.Config{N: *gen, Seed: *seed, CharNoise: 0.02})
+		if err != nil {
+			log.Fatal(err)
+		}
+		stat, err = statlib.FoldSamples("stat", cat.Layout(), rows)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,13 +5,10 @@ import (
 
 	"stdcelltune/internal/core"
 	"stdcelltune/internal/report"
-	"stdcelltune/internal/robust/faultinject"
 	"stdcelltune/internal/rtlgen"
-	"stdcelltune/internal/statlib"
 	"stdcelltune/internal/stattime"
 	"stdcelltune/internal/stdcell"
 	"stdcelltune/internal/synth"
-	"stdcelltune/internal/variation"
 )
 
 // CornerOutcome is one corner's tuning result.
@@ -71,12 +68,11 @@ func (f *Flow) cornerOutcome(corner stdcell.Corner, clock, bound float64) (Corne
 		return oc, nil
 	}
 	cat := stdcell.NewCatalogue(corner)
-	libs, err := variation.InstancesCtx(f.ctx, cat, variation.Config{N: f.Cfg.Samples, Seed: f.Cfg.Seed, CharNoise: 0.02})
+	mc, err := characterize(f.ctx, cat, f.Cfg.Samples, f.Cfg.Seed, f.Cfg.Fault)
 	if err != nil {
 		return oc, err
 	}
-	faultinject.Corrupt(libs, f.Cfg.Fault)
-	stat, err := statlib.Build("stat_"+corner.Name(), libs)
+	stat, err := mc.fold("stat_" + corner.Name())
 	if err != nil {
 		return oc, err
 	}

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"stdcelltune/internal/core"
+	"stdcelltune/internal/liberty"
 	"stdcelltune/internal/obs"
 	"stdcelltune/internal/perfstat"
 	"stdcelltune/internal/restrict"
@@ -127,15 +128,14 @@ func NewFlow(ctx context.Context, cfg FlowConfig) (*Flow, error) {
 	log := obs.Log()
 	cat := stdcell.NewCatalogue(cfg.Corner)
 	stopChar := run.Phase("characterize", "samples", cfg.Samples, "seed", cfg.Seed)
-	libs, err := variation.InstancesCtx(ctx, cat, variation.Config{N: cfg.Samples, Seed: cfg.Seed, CharNoise: 0.02})
+	mc, err := characterize(ctx, cat, cfg.Samples, cfg.Seed, cfg.Fault)
 	stopChar()
 	if err != nil {
 		return nil, err
 	}
 	log.Debug("characterized", "samples", cfg.Samples, "seed", cfg.Seed)
-	injected := faultinject.Corrupt(libs, cfg.Fault)
-	stopFold := run.Phase("statlib-fold", "instances", len(libs))
-	stat, err := statlib.Build("stat_"+cfg.Corner.Name(), libs)
+	stopFold := run.Phase("statlib-fold", "instances", cfg.Samples)
+	stat, err := mc.fold("stat_" + cfg.Corner.Name())
 	stopFold()
 	if err != nil {
 		return nil, err
@@ -151,7 +151,7 @@ func NewFlow(ctx context.Context, cfg FlowConfig) (*Flow, error) {
 	return &Flow{
 		Cfg: cfg, Cat: cat, Stat: stat, MCU: mcu,
 		Quarantine: stat.Quarantine,
-		Injected:   injected,
+		Injected:   mc.injected,
 		Obs:        run,
 		Perf:       run.Perf,
 		ctx:        ctx,
@@ -160,6 +160,41 @@ func NewFlow(ctx context.Context, cfg FlowConfig) (*Flow, error) {
 		tuneRes:    make(map[string]*call[*tuneEntry]),
 		synthOut:   make(map[string]obs.SynthOutcome),
 	}, nil
+}
+
+// monteCarlo is the product of the characterize step, ready to fold:
+// the clean delay-sample matrix, or, when fault injection is on, the
+// corrupted Liberty instances. Faults need the instances: the injector
+// damages one table of an entry or drops an arc, which a sample row
+// (one value per entry, the structure fixed) cannot express.
+type monteCarlo struct {
+	cat      *stdcell.Catalogue
+	rows     [][]float64
+	libs     []*liberty.Library
+	injected faultinject.Report
+}
+
+// characterize generates the n Monte-Carlo instances of the catalogue
+// (on the worker pool) and applies the fault injector, if enabled.
+func characterize(ctx context.Context, cat *stdcell.Catalogue, n int, seed int64, fault faultinject.Config) (*monteCarlo, error) {
+	cfg := variation.Config{N: n, Seed: seed, CharNoise: 0.02}
+	mc := &monteCarlo{cat: cat}
+	var err error
+	if fault.Rate > 0 {
+		mc.libs, err = variation.InstancesCtx(ctx, cat, cfg)
+		mc.injected = faultinject.Corrupt(mc.libs, fault)
+	} else {
+		mc.rows, err = variation.SamplesCtx(ctx, cat, cfg)
+	}
+	return mc, err
+}
+
+// fold builds the statistical library (Fig. 2) from the instances.
+func (mc *monteCarlo) fold(name string) (*statlib.Library, error) {
+	if mc.libs != nil {
+		return statlib.Build(name, mc.libs)
+	}
+	return statlib.FoldSamples(name, mc.cat.Layout(), mc.rows)
 }
 
 // Context returns the context the flow was built with.

@@ -90,6 +90,16 @@ func Run(ctx context.Context, spec Spec) (map[string][]byte, error) {
 	return p.Run(ctx, spec)
 }
 
+// Stage counters in the process-default registry: how many times the
+// pipeline's two expensive stages started. A request answered from the
+// cache or by the query layer leaves both unchanged — the direct witness
+// that nothing was recomputed (the worker-pool task counter is not one:
+// a what-if's own statistical timing fans out on the pool).
+var (
+	characterizeRuns = obs.Default().Counter("service.characterize_runs")
+	synthesizeRuns   = obs.Default().Counter("service.synthesize_runs")
+)
+
 // Run is the pipeline with this Pipeline's cluster configuration; see
 // the package-level Run for the contract.
 func (p *Pipeline) Run(ctx context.Context, spec Spec) (map[string][]byte, error) {
@@ -102,6 +112,7 @@ func (p *Pipeline) Run(ctx context.Context, spec Spec) (map[string][]byte, error
 	corner, _ := cornerFromSlug(spec.Corner)
 	cat := stdcelltune.NewCatalogue(corner)
 
+	characterizeRuns.Add(1)
 	stat, err := p.characterize(ctx, cat, spec)
 	if err != nil {
 		return nil, fmt.Errorf("characterize: %w", err)
@@ -116,6 +127,7 @@ func (p *Pipeline) Run(ctx context.Context, spec Spec) (map[string][]byte, error
 	}
 
 	cfg, _ := designConfig(spec.Design)
+	synthesizeRuns.Add(1)
 	span = tr.Start("synthesize", "service", "design", spec.Design, "clock_ns", spec.ClockNS)
 	design, err := stdcelltune.NewMCUWith(cfg)
 	if err != nil {

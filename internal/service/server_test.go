@@ -129,15 +129,18 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 
 	// Warm path: same spec again. No pipeline work may happen — the
-	// robust pool task counter is the witness that nothing recomputed.
-	poolTasks := obs.Default().Counter("robust.pool_tasks").Value()
+	// stage counters are the witness that nothing recomputed.
+	charRuns, synthRuns := characterizeRuns.Value(), synthesizeRuns.Value()
 	hits := obs.Default().Counter("service.cache_hits").Value()
 	warm := awaitJob(t, ts, m, postJob(t, ts, smallSpec).ID)
 	if warm.Status != StatusDone || warm.Outcome != "hit" {
 		t.Fatalf("warm job: status %s outcome %q, want done/hit", warm.Status, warm.Outcome)
 	}
-	if got := obs.Default().Counter("robust.pool_tasks").Value(); got != poolTasks {
-		t.Errorf("warm request ran %d pool tasks, want 0", got-poolTasks)
+	if got := characterizeRuns.Value(); got != charRuns {
+		t.Errorf("warm request ran characterize %d times, want 0", got-charRuns)
+	}
+	if got := synthesizeRuns.Value(); got != synthRuns {
+		t.Errorf("warm request ran synthesize %d times, want 0", got-synthRuns)
 	}
 	if got := obs.Default().Counter("service.cache_hits").Value(); got != hits+1 {
 		t.Errorf("cache-hit counter %d -> %d, want +1", hits, got)

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"stdcelltune/internal/obs"
 	"stdcelltune/internal/query"
 	"stdcelltune/internal/service/cache"
 	"stdcelltune/internal/sta"
@@ -367,10 +366,10 @@ func TestV2QueryEndToEnd(t *testing.T) {
 
 	// What-if substitution over HTTP: answered by incremental
 	// reanalysis — exactly one full STA pass for the baseline, zero
-	// pipeline re-runs (the robust pool counter is the witness that no
-	// re-characterization or re-synthesis happened).
-	poolBefore := obs.Default().Counter("robust.pool_tasks").Value()
-	fullBefore := sta.FullAnalyses()
+	// pipeline re-runs (the stage counters are the witness that no
+	// re-characterization or re-synthesis happened; the what-if's own
+	// statistical timing may use the worker pool at any core count).
+	charBefore, synthBefore := characterizeRuns.Value(), synthesizeRuns.Value()
 	resp, wi := postQuery(t, ts, dig, `{"schema":"stdcelltune-query/1","what_if":{"op":"substitute","from":"OR2_1","to":"OR2_2"}}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("what-if: %d %s", resp.StatusCode, wi)
@@ -385,13 +384,15 @@ func TestV2QueryEndToEnd(t *testing.T) {
 	if wr.FullAnalyses != 1 {
 		t.Errorf("what-if ran %d full analyses, want exactly 1 (baseline)", wr.FullAnalyses)
 	}
-	if got := obs.Default().Counter("robust.pool_tasks").Value(); got != poolBefore {
-		t.Errorf("what-if ran %d robust-pool tasks, want 0 (no re-characterization)", got-poolBefore)
+	if got := characterizeRuns.Value(); got != charBefore {
+		t.Errorf("what-if ran characterize %d times, want 0", got-charBefore)
 	}
-	_ = fullBefore
+	if got := synthesizeRuns.Value(); got != synthBefore {
+		t.Errorf("what-if ran synthesize %d times, want 0", got-synthBefore)
+	}
 
 	// Warm what-if: served from cache without touching the engine at all.
-	fullBefore = sta.FullAnalyses()
+	fullBefore := sta.FullAnalyses()
 	resp, wi2 := postQuery(t, ts, dig, `{"schema":"stdcelltune-query/1","what_if":{"op":"substitute","from":"OR2_1","to":"OR2_2"}}`)
 	if oc := resp.Header.Get("X-Query-Cache"); oc != "hit" {
 		t.Fatalf("warm what-if X-Query-Cache %q, want hit", oc)

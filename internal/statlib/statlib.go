@@ -16,6 +16,7 @@ import (
 	"stdcelltune/internal/liberty"
 	"stdcelltune/internal/lut"
 	"stdcelltune/internal/robust"
+	"stdcelltune/internal/stdcell"
 )
 
 // Library is a statistical library: same cell/pin/arc structure as the
@@ -89,12 +90,7 @@ func Build(name string, instances []*liberty.Library) (*Library, error) {
 		return nil, errors.New("statlib: need at least two instances")
 	}
 	ref := instances[0]
-	sl := &Library{
-		Name: name, Samples: len(instances), Cells: make(map[string]*Cell),
-		Quarantine: robust.NewQuarantine("statlib"),
-		slab:       lut.NewSlab(foldSlabHint(ref)),
-	}
-	sl.Quarantine.Total = len(ref.Cells)
+	sl := newFold(name, len(instances), len(ref.Cells), foldSlabHint(ref))
 	cells := make([]*liberty.Cell, len(instances))
 	for _, refCell := range ref.Cells {
 		quarantined := false
@@ -111,21 +107,75 @@ func Build(name string, instances []*liberty.Library) (*Library, error) {
 			continue
 		}
 		sc, err := buildCell(cells, sl.slab)
-		if err != nil {
-			sl.Quarantine.Add(refCell.Name, err.Error())
-			continue
-		}
-		if reason := degenerateCell(sc); reason != "" {
-			sl.Quarantine.Add(refCell.Name, reason)
-			continue
-		}
-		sl.Cells[sc.Name] = sc
-		sl.CellOrder = append(sl.CellOrder, sc.Name)
+		sl.admit(refCell.Name, sc, err)
 	}
 	if err := sl.Quarantine.Check(robust.DefaultQuarantineLimit); err != nil {
 		return nil, err
 	}
 	return sl, nil
+}
+
+// FoldSamples is Build over a delay-sample matrix instead of Liberty
+// instances: row k (see variation.SamplesCtx) holds instance k's
+// nominal delay entries in layout order, and each entry v stands for
+// the instance's CellRise = stdcell.RiseScale·v and CellFall =
+// stdcell.FallScale·v. The folded library — tables, quarantine report
+// and errors — is byte-identical to Build over the instances the rows
+// were sampled alongside: both reduce entries through foldTable and
+// screen cells through degenerateCell and the quarantine limit. Build's
+// structural checks (a cell missing from an instance, mismatched pins
+// or arcs) have no counterpart, since every row has the layout's
+// structure by construction.
+func FoldSamples(name string, layout *stdcell.Layout, rows [][]float64) (*Library, error) {
+	if len(rows) < 2 {
+		return nil, errors.New("statlib: need at least two instances")
+	}
+	for k, row := range rows {
+		if len(row) != layout.Entries {
+			return nil, fmt.Errorf("statlib: sample row %d has %d entries, layout has %d", k, len(row), layout.Entries)
+		}
+	}
+	// Two stat tables (mean, sigma) per rise and fall table of an entry.
+	sl := newFold(name, len(rows), len(layout.Cells), 4*layout.Entries)
+	buf := make([]float64, len(rows))
+	for _, lc := range layout.Cells {
+		sc, err := foldSampleCell(lc, rows, buf, sl.slab)
+		sl.admit(lc.Spec.Name, sc, err)
+	}
+	if err := sl.Quarantine.Check(robust.DefaultQuarantineLimit); err != nil {
+		return nil, err
+	}
+	return sl, nil
+}
+
+// newFold starts an empty statistical library for a fold of n instances
+// over the given number of cells.
+func newFold(name string, n, cells, slabHint int) *Library {
+	sl := &Library{
+		Name: name, Samples: n, Cells: make(map[string]*Cell),
+		Quarantine: robust.NewQuarantine("statlib"),
+		slab:       lut.NewSlab(slabHint),
+	}
+	sl.Quarantine.Total = cells
+	return sl
+}
+
+// admit files one folded cell: into the quarantine report when its fold
+// failed or its statistics are degenerate, else into the library in
+// fold order.
+func (l *Library) admit(name string, sc *Cell, err error) {
+	reason := ""
+	if err != nil {
+		reason = err.Error()
+	} else {
+		reason = degenerateCell(sc)
+	}
+	if reason != "" {
+		l.Quarantine.Add(name, reason)
+		return
+	}
+	l.Cells[sc.Name] = sc
+	l.CellOrder = append(l.CellOrder, sc.Name)
 }
 
 // degenerateCell validates the folded statistics of one cell: every
@@ -270,19 +320,7 @@ func usableSample(v float64) bool {
 }
 
 // foldTables computes per-entry mean and sigma across the instance
-// tables. This is the innermost step of Fig. 2: per (load, slew) entry,
-// the values across the N libraries are reduced to their mean and
-// unbiased standard deviation, stored at the same position of two
-// slab-backed tables.
-//
-// The reduction streams the exact two-pass accumulation dist.MeanStdDev
-// performs on a buffer — sum in instance order, divide once, then sum
-// the squared deviations in the same order — without materializing the
-// N-length buffer, so the fold is O(1) in N and still bitwise-identical
-// to the buffered form (the pipeline's recorded outputs depend on the
-// two-pass association order; see dist.Welford for why the single-pass
-// streaming accumulator is not used here). An entry needs at least two
-// usable samples (see usableSample) to have statistics at all.
+// tables of one arc (Build's front of foldTable).
 func foldTables(slab *lut.Slab, tables []*lut.Table) (mean, sigma *lut.Table, err error) {
 	ref := tables[0]
 	if ref == nil {
@@ -293,25 +331,86 @@ func foldTables(slab *lut.Slab, tables []*lut.Table) (mean, sigma *lut.Table, er
 			return nil, nil, errors.New("statlib: instance tables have mismatched axes")
 		}
 	}
-	mean = lut.NewIn(slab, ref.Loads, ref.Slews)
-	sigma = lut.NewIn(slab, ref.Loads, ref.Slews)
-	for i := range ref.Loads {
-		for j := range ref.Slews {
+	buf := make([]float64, len(tables))
+	return foldTable(slab, ref.Loads, ref.Slews, buf, func(i, j int) {
+		for k, t := range tables {
+			buf[k] = t.Values[i][j]
+		}
+	})
+}
+
+// foldSampleCell folds one layout cell of a sample matrix (FoldSamples'
+// front of foldTable), building the same cell Build's buildCell would.
+func foldSampleCell(lc stdcell.LayoutCell, rows [][]float64, buf []float64, slab *lut.Slab) (*Cell, error) {
+	s := lc.Spec
+	sc := &Cell{Name: s.Name, Area: s.Area(), DriveStrength: s.Drive, Footprint: s.Family}
+	fold := func(off int, scale float64) (mean, sigma *lut.Table, err error) {
+		return foldTable(slab, lc.Loads, stdcell.SlewAxis, buf, func(i, j int) {
+			e := off + i*len(stdcell.SlewAxis) + j
+			for k, row := range rows {
+				buf[k] = row[e] * scale
+			}
+		})
+	}
+	for _, p := range lc.Pins {
+		if len(p.Arcs) == 0 {
+			continue
+		}
+		sp := &Pin{Name: p.Name, MaxCap: s.MaxCap()}
+		for _, a := range p.Arcs {
+			mr, sr, err := fold(a.Offset, stdcell.RiseScale)
+			if err != nil {
+				return nil, err
+			}
+			mf, sf, err := fold(a.Offset, stdcell.FallScale)
+			if err != nil {
+				return nil, err
+			}
+			sp.Arcs = append(sp.Arcs, &Arc{
+				RelatedPin: a.RelatedPin,
+				MeanRise:   mr, SigmaRise: sr,
+				MeanFall: mf, SigmaFall: sf,
+			})
+		}
+		sc.Pins = append(sc.Pins, sp)
+	}
+	return sc, nil
+}
+
+// foldTable is the innermost step of Fig. 2 and the one entry reduction
+// both folds share: per (load, slew) entry, gather(i, j) fills buf with
+// the entry's value in each of the N instances, in instance order, and
+// those values reduce to their mean and unbiased standard deviation,
+// stored at the same position of two slab-backed tables.
+//
+// The reduction is the exact two-pass accumulation dist.MeanStdDev
+// performs — sum in instance order, divide once, then sum the squared
+// deviations in the same order — so it is bitwise-identical to the
+// buffered form the pipeline's recorded outputs depend on (see
+// dist.Welford for why the single-pass streaming accumulator is not
+// used here). An entry needs at least two usable samples (see
+// usableSample) to have statistics at all.
+func foldTable(slab *lut.Slab, loads, slews, buf []float64, gather func(i, j int)) (mean, sigma *lut.Table, err error) {
+	mean = lut.NewIn(slab, loads, slews)
+	sigma = lut.NewIn(slab, loads, slews)
+	for i := range loads {
+		for j := range slews {
+			gather(i, j)
 			sum, n := 0.0, 0
-			for _, t := range tables {
-				if v := t.Values[i][j]; usableSample(v) {
+			for _, v := range buf {
+				if usableSample(v) {
 					sum += v
 					n++
 				}
 			}
 			if n < 2 {
 				return nil, nil, fmt.Errorf("statlib: entry [%d][%d] has %d usable samples of %d, need 2",
-					i, j, n, len(tables))
+					i, j, n, len(buf))
 			}
 			m := sum / float64(n)
 			sq := 0.0
-			for _, t := range tables {
-				if v := t.Values[i][j]; usableSample(v) {
+			for _, v := range buf {
+				if usableSample(v) {
 					d := v - m
 					sq += d * d
 				}

@@ -18,11 +18,12 @@ type Spec struct {
 	Drive     int
 	Params    ModelParams
 
-	Inputs  []string // data input pin names
-	Outputs []string // output pin names
-	Clock   string   // clock/enable pin ("" for combinational)
-	ResetN  string   // active-low async reset pin ("")
-	SetN    string   // active-low async set pin ("")
+	Inputs    []string // data input pin names
+	Outputs   []string // output pin names
+	Functions []string // Liberty function per output pin
+	Clock     string   // clock/enable pin ("" for combinational)
+	ResetN    string   // active-low async reset pin ("")
+	SetN      string   // active-low async set pin ("")
 }
 
 // familyDef is a cell family before drive-strength expansion.
@@ -166,6 +167,10 @@ type Catalogue struct {
 	// strength-clustering axis, Fig. 5).
 	ByDrive map[int][]*Spec
 
+	// layout orders the delay entries of one Monte-Carlo instance; see
+	// Layout.
+	layout *Layout
+
 	// arcs lazily caches per-spec Liberty arc resolution for the timing
 	// engines; see TimingArcs.
 	arcs arcCache
@@ -191,6 +196,7 @@ func NewCatalogue(corner Corner) *Catalogue {
 				Params:    famParams(def.kind, def.nIn),
 				Inputs:    def.inputs,
 				Outputs:   def.outputs,
+				Functions: def.functions,
 				Clock:     def.clock,
 				ResetN:    def.resetN,
 				SetN:      def.setN,
@@ -207,6 +213,7 @@ func NewCatalogue(corner Corner) *Catalogue {
 		sort.Slice(cluster, func(i, j int) bool { return cluster[i].Name < cluster[j].Name })
 	}
 	c.Lib = c.buildLiberty()
+	c.layout = c.buildLayout()
 	return c
 }
 

@@ -97,6 +97,13 @@ func (s *Spec) HoldTime(corner Corner) float64 {
 // cell_rise = delay * (1 + skew), cell_fall = delay * (1 - skew).
 const riseFallSkew = 0.05
 
+// RiseScale and FallScale turn a nominal delay entry into its cell_rise
+// and cell_fall values.
+const (
+	RiseScale = 1 + riseFallSkew
+	FallScale = 1 - riseFallSkew
+)
+
 // DelayTable builds the nominal cell delay LUT (before rise/fall skew).
 func (s *Spec) DelayTable(corner Corner) *lut.Table {
 	return lut.NewFilled(s.LoadAxis(), SlewAxis, func(l, sl float64) float64 {
@@ -211,42 +218,26 @@ func (c *Catalogue) buildCell(s *Spec, perturb Perturb) *liberty.Cell {
 		)
 	}
 	// Outputs with delay arcs.
-	defs := c.functionsFor(s)
 	for oi, out := range s.Outputs {
 		pin := &liberty.Pin{
 			Name:      out,
 			Direction: liberty.Output,
 			MaxCap:    s.MaxCap(),
 		}
-		if oi < len(defs) {
-			pin.Function = defs[oi]
+		if oi < len(s.Functions) {
+			pin.Function = s.Functions[oi]
 		}
 		if s.Kind == KindTie {
 			cell.Pins = append(cell.Pins, pin)
 			continue
 		}
-		related := s.Inputs
-		if s.IsSequential() {
-			related = []string{s.Clock} // CK->Q / EN->Q arc
-		}
-		for _, from := range related {
+		for _, from := range s.relatedPins() {
 			pin.Timing = append(pin.Timing, c.buildArc(s, from, perturb))
 			pin.Power = append(pin.Power, c.buildPowerArc(s, from))
 		}
 		cell.Pins = append(cell.Pins, pin)
 	}
 	return cell
-}
-
-// functionsFor retrieves the Liberty function strings for the spec's
-// outputs from the family definition table.
-func (c *Catalogue) functionsFor(s *Spec) []string {
-	for _, def := range catalogueDefs() {
-		if def.family == s.Family {
-			return def.functions
-		}
-	}
-	return nil
 }
 
 func constTable(v float64) *lut.Table {
@@ -266,17 +257,13 @@ func (c *Catalogue) buildArc(s *Spec, from string, perturb Perturb) *liberty.Tim
 		arc.Sense = "non_unate"
 	}
 	delay := lut.NewFilled(s.LoadAxis(), SlewAxis, func(l, sl float64) float64 {
-		d := s.Delay(l, sl, c.Corner)
-		if perturb != nil {
-			d += perturb(s, l, sl)
-		}
-		return d
+		return c.entryDelay(s, l, sl, perturb)
 	})
 	trans := s.TransitionTable(c.Corner)
-	arc.CellRise = delay.Clone().Scale(1 + riseFallSkew)
-	arc.CellFall = delay.Scale(1 - riseFallSkew)
-	arc.RiseTransition = trans.Clone().Scale(1 + riseFallSkew)
-	arc.FallTransition = trans.Scale(1 - riseFallSkew)
+	arc.CellRise = delay.Clone().Scale(RiseScale)
+	arc.CellFall = delay.Scale(FallScale)
+	arc.RiseTransition = trans.Clone().Scale(RiseScale)
+	arc.FallTransition = trans.Scale(FallScale)
 	return arc
 }
 

@@ -298,10 +298,16 @@ func (o *optimizer) fixLegality(r *sta.Result) int {
 			if s.Inst == nil {
 				continue
 			}
+			// A multi-output sink's outputs may carry different
+			// windows: take its first connected output in Spec.Outputs
+			// order, never in map order, so the repair is a pure
+			// function of the netlist.
 			var outPin string
-			for p := range s.Inst.Out {
-				outPin = p
-				break
+			for _, p := range s.Inst.Spec.Outputs {
+				if _, ok := s.Inst.Out[p]; ok {
+					outPin = p
+					break
+				}
 			}
 			if outPin == "" {
 				continue

@@ -1,8 +1,10 @@
 package synth
 
 import (
+	"bytes"
 	"testing"
 
+	"stdcelltune/internal/netlist"
 	"stdcelltune/internal/restrict"
 	"stdcelltune/internal/rtlgen"
 	"stdcelltune/internal/stdcell"
@@ -184,5 +186,54 @@ func TestDefaultOptionsNormalization(t *testing.T) {
 	}
 	if o.MaxIter == 0 {
 		t.Error("MaxIter not defaulted")
+	}
+}
+
+// TestLegalityRepairDeterministic: the slew repair reads a sink's slew
+// window through one of the sink's output pins. For a multi-output sink
+// (adders) whose outputs carry different windows, that pin must come
+// from Spec.Outputs order, not from map iteration, or one spec
+// synthesizes to different netlists run to run.
+func TestLegalityRepairDeterministic(t *testing.T) {
+	m := smallMCU(t)
+	rs := restrict.NewSet("split-multi-output-windows")
+	last := stdcell.SlewAxis[len(stdcell.SlewAxis)-1]
+	multi := 0
+	for name, spec := range cat.Specs {
+		if len(spec.Outputs) < 2 {
+			continue
+		}
+		multi++
+		axis := spec.LoadAxis()
+		for i, out := range spec.Outputs {
+			w := restrict.Window{MaxLoad: axis[len(axis)-1], MaxSlew: last}
+			if i == 0 {
+				w.MaxSlew = stdcell.SlewAxis[1]
+			}
+			rs.Put(name, out, w)
+		}
+	}
+	if multi == 0 {
+		t.Fatal("fixture: catalogue has no multi-output cells")
+	}
+	opts := DefaultOptions(6)
+	opts.Restrict = rs
+	var first []byte
+	for run := 0; run < 6; run++ {
+		res, err := Synthesize("mcu", m.Net, cat, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := netlist.WriteVerilog(&buf, res.Netlist); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("run %d synthesized a different netlist than run 0", run)
+		}
 	}
 }

@@ -88,8 +88,8 @@ func NewSampler(seed int64) *Sampler {
 // every Monte-Carlo fold, and the Sprintf allocation dominated the
 // sampler's profile. The byte stream is identical to the previous
 // "mc%d/%s" key, so every draw stays bit-identical; the buffer must be
-// per-call (not a Sampler field) because InstancesCtx shares one
-// Sampler across the worker pool.
+// per-call (not a Sampler field) because InstancesCtx and SamplesCtx
+// share one Sampler across the worker pool.
 func (sm *Sampler) Cell(instance int, name string) CellSample {
 	var buf [48]byte
 	key := append(buf[:0], "mc"...)
@@ -114,8 +114,10 @@ func (sm *Sampler) Global(instance int, sigma float64) float64 {
 // Instances generates cfg.N Monte-Carlo Liberty libraries from the
 // catalogue. Each instance perturbs every cell's delay tables by that
 // cell's local mismatch sample (plus optional characterization noise and
-// global factor). This is the input of the Fig. 2 statistical library
-// construction.
+// global factor). Clean characterization folds SamplesCtx instead; the
+// libraries are for callers that need the instances themselves
+// (writing .lib files, fault injection, the streaming and sharded
+// folds).
 func Instances(cat *stdcell.Catalogue, cfg Config) []*liberty.Library {
 	libs, _ := InstancesCtx(context.Background(), cat, cfg)
 	return libs
@@ -141,6 +143,45 @@ func InstancesCtx(ctx context.Context, cat *stdcell.Catalogue, cfg Config) ([]*l
 
 // Instance generates the i-th Monte-Carlo library.
 func Instance(cat *stdcell.Catalogue, sm *Sampler, i int, cfg Config) *liberty.Library {
+	return cat.BuildLibrary(fmt.Sprintf("%s_mc%03d", cat.Lib.Name, i), instancePerturb(cat, sm, i, cfg))
+}
+
+// SamplesCtx generates the N Monte-Carlo instances as a delay-sample
+// matrix instead of Liberty libraries: row i holds instance i's delay
+// entries in cat.Layout() order, bit-identical to the nominal delay
+// tables Instance(cat, sm, i, cfg) would build (the same perturbation,
+// with its noise stream consumed in the same order). The rows are views
+// into one contiguous N×E slab. They run on the same pool as
+// InstancesCtx; on cancellation the partial matrix is discarded and
+// ctx's error returned.
+//
+// This is what clean characterization folds (statlib.FoldSamples):
+// the fold reads only the delay tables, so the transition, power and
+// constraint tables, function strings and pin lists of 50 libraries
+// are never built.
+func SamplesCtx(ctx context.Context, cat *stdcell.Catalogue, cfg Config) ([][]float64, error) {
+	sm := NewSampler(cfg.Seed)
+	e := cat.Layout().Entries
+	slab := make([]float64, cfg.N*e)
+	rows := make([][]float64, cfg.N)
+	err := robust.ForEachNamed(ctx, "variation.instances", robust.DefaultWorkers(), cfg.N, func(ctx context.Context, i int) error {
+		rows[i] = slab[i*e : (i+1)*e : (i+1)*e]
+		cat.DelaySamples(rows[i], instancePerturb(cat, sm, i, cfg))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// instancePerturb is the delay perturbation of the i-th Monte-Carlo
+// instance: the cell's local mismatch, plus the per-entry
+// characterization noise (one stream per instance, drawn in entry
+// order) and the global factor when enabled. Each cell's mismatch is
+// drawn once, on its first entry; the draw depends only on (seed, i,
+// cell), so the cache needs to hold only the cell in progress.
+func instancePerturb(cat *stdcell.Catalogue, sm *Sampler, i int, cfg Config) stdcell.Perturb {
 	global := 1.0
 	if cfg.GlobalSigma > 0 {
 		global = sm.Global(i, cfg.GlobalSigma)
@@ -149,12 +190,13 @@ func Instance(cat *stdcell.Catalogue, sm *Sampler, i int, cfg Config) *liberty.L
 	nkey := append(nbuf[:0], "noise"...)
 	nkey = strconv.AppendInt(nkey, int64(i), 10)
 	noise := dist.NewRNG(cfg.Seed).ForkNamedBytes(nkey)
-	samples := make(map[string]CellSample, len(cat.Specs))
-	perturb := func(s *stdcell.Spec, load, slew float64) float64 {
-		cs, ok := samples[s.Name]
-		if !ok {
-			cs = sm.Cell(i, s.Name)
-			samples[s.Name] = cs
+	var (
+		cur *stdcell.Spec
+		cs  CellSample
+	)
+	return func(s *stdcell.Spec, load, slew float64) float64 {
+		if s != cur {
+			cur, cs = s, sm.Cell(i, s.Name)
 		}
 		d := cs.Delta(s, load, slew, cat.Corner)
 		if cfg.CharNoise > 0 {
@@ -165,7 +207,6 @@ func Instance(cat *stdcell.Catalogue, sm *Sampler, i int, cfg Config) *liberty.L
 		}
 		return d
 	}
-	return cat.BuildLibrary(fmt.Sprintf("%s_mc%03d", cat.Lib.Name, i), perturb)
 }
 
 // CellDelay evaluates the perturbed delay of one cell instance at an

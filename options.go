@@ -35,8 +35,8 @@ type CharacterizeOptions struct {
 }
 
 // CharacterizeCtx runs the Monte-Carlo characterization (instances are
-// generated in parallel on the worker pool) and folds them into the
-// statistical library.
+// generated in parallel on the worker pool, as a delay-sample matrix)
+// and folds them into the statistical library.
 func CharacterizeCtx(ctx context.Context, cat *Catalogue, opts CharacterizeOptions) (*StatisticalLibrary, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -45,11 +45,11 @@ func CharacterizeCtx(ctx context.Context, cat *Catalogue, opts CharacterizeOptio
 	if n == 0 {
 		n = 50
 	}
-	libs, err := variation.InstancesCtx(ctx, cat, variation.Config{N: n, Seed: opts.Seed, CharNoise: 0.02})
+	rows, err := variation.SamplesCtx(ctx, cat, variation.Config{N: n, Seed: opts.Seed, CharNoise: 0.02})
 	if err != nil {
 		return nil, wrapCancel(err)
 	}
-	stat, err := statlib.Build("stat_"+cat.Corner.Name(), libs)
+	stat, err := statlib.FoldSamples("stat_"+cat.Corner.Name(), cat.Layout(), rows)
 	return stat, wrapCancel(err)
 }
 
