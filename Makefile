@@ -6,15 +6,19 @@ GO ?= go
 # Benchmarks tracked in BENCH_PR7.json (see DESIGN.md, "Performance
 # baseline & benchmark JSON").
 BENCH_JSON ?= BENCH_PR7.json
-BENCH_PAT  ?= BenchmarkCharacterize$$|BenchmarkFig3Bilinear$$|BenchmarkFig6LargestRectangle$$|BenchmarkAnalyzeDesign$$|BenchmarkLUTBilinearLookup$$|BenchmarkSynthesize$$|BenchmarkSynthesizeRestricted$$
+BENCH_PAT  ?= BenchmarkCharacterize$$|BenchmarkFig3Bilinear$$|BenchmarkFig6LargestRectangle$$|BenchmarkAnalyzeDesign$$|BenchmarkLUTBilinearLookup$$|BenchmarkSynthesize$$|BenchmarkSynthesizeRestricted$$|BenchmarkWiden$$
 BENCH_SCALE ?= small
 # Allocation-regression gate: bench-check fails any tracked benchmark
 # whose allocs_per_op exceeds ALLOC_RATIO x its recorded baseline.
 ALLOC_RATIO ?= 1.10
 
-.PHONY: ci vet build test test-procs2 race fuzz fuzz-short bench-json bench-check experiments-small obs-smoke serve-smoke crash-smoke load-smoke cluster-smoke query-smoke cluster-bench clean
+.PHONY: ci fmt vet build test test-procs2 race fuzz fuzz-short bench-json bench-check experiments-small obs-smoke serve-smoke crash-smoke load-smoke cluster-smoke query-smoke cluster-bench clean
 
-ci: vet build test-procs2 race fuzz-short bench-check obs-smoke serve-smoke crash-smoke load-smoke cluster-smoke query-smoke
+ci: fmt vet build test-procs2 race fuzz-short bench-check obs-smoke serve-smoke crash-smoke load-smoke cluster-smoke query-smoke
+
+# Every Go file gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

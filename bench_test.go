@@ -20,6 +20,8 @@ import (
 	"stdcelltune/internal/exp"
 	"stdcelltune/internal/lut"
 	"stdcelltune/internal/pathmc"
+	"stdcelltune/internal/query"
+	"stdcelltune/internal/sta"
 	"stdcelltune/internal/statlib"
 	"stdcelltune/internal/stattime"
 	"stdcelltune/internal/stdcell"
@@ -521,6 +523,42 @@ func BenchmarkSynthesizeRestricted(b *testing.B) {
 		opts := synth.DefaultOptions(clocks.Medium)
 		opts.Restrict = set
 		if _, err := synth.Synthesize("mcu", f.MCU.Net, f.Cat, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWiden times one window-widening what-if (factor 1.5) on the
+// MCU synthesized under sigma-ceiling windows: a baseline full pass,
+// then one single-instance downsize probe per sizable instance. Each
+// probe costs its cone plus the endpoints; BENCH_PR7.json gates its
+// allocs_per_op, which catches a return to a snapshot or a "cell/pin"
+// window key per probe.
+func BenchmarkWiden(b *testing.B) {
+	f := flow(b)
+	clocks, err := f.Clocks()
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, _, err := f.Tune(core.SigmaCeiling, 0.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := f.Tuned(core.SigmaCeiling, 0.02, clocks.Medium)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := query.Build(query.Source{
+		Library: "bench", Stat: f.Stat, Windows: set,
+		Netlist: res.Netlist, STA: sta.DefaultConfig(clocks.Medium),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Widen(1.5); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ func FuzzParseLiberty(f *testing.F) {
 	}
 	seeds := []string{
 		valid,
-		valid[:len(valid)/2],          // truncated mid-cell
+		valid[:len(valid)/2],                // truncated mid-cell
 		valid[:strings.Index(valid, "{")+1], // header only, body missing
 		"",
 		"library",
@@ -33,7 +33,7 @@ func FuzzParseLiberty(f *testing.F) {
 		"library (x) { /* unterminated comment",
 		"library (x) { \"unterminated string",
 		strings.Replace(valid, "values", "VALUES", 1),
-		strings.Replace(valid, "0.001", "1e999", 1),  // overflow literal
+		strings.Replace(valid, "0.001", "1e999", 1), // overflow literal
 		strings.Replace(valid, "0.001", "not_a_number", 1),
 	}
 	for _, s := range seeds {

@@ -79,6 +79,11 @@ func (nl *Netlist) AddNet(name string) *Net {
 	return n
 }
 
+// NetExtent returns the net-ID high-water mark: every net's ID is below
+// it. Nets are only ever appended, so Nets[i].ID == i and the extent
+// equals len(Nets); per-net arrays are sized by it without a scan.
+func (nl *Netlist) NetExtent() int { return nl.nextNet }
+
 // AddInput creates a primary-input net.
 func (nl *Netlist) AddInput(name string) *Net {
 	n := nl.AddNet(name)

@@ -436,7 +436,7 @@ func (r *recObserver) OnConnect(inst *Instance, pin string, old, n *Net) {
 func (r *recObserver) OnDrive(inst *Instance, pin string, n *Net) {
 	r.events = append(r.events, "drive "+inst.Name+"."+pin+" "+n.Name)
 }
-func (r *recObserver) OnNewNet(n *Net)            { r.events = append(r.events, "newnet "+n.Name) }
+func (r *recObserver) OnNewNet(n *Net) { r.events = append(r.events, "newnet "+n.Name) }
 func (r *recObserver) OnNewInstance(inst *Instance) {
 	r.events = append(r.events, "newinst "+inst.Name)
 }

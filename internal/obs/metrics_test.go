@@ -119,9 +119,9 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 
 func TestHistogramExtremes(t *testing.T) {
 	h := &Histogram{}
-	h.Observe(-time.Second)        // clamped to 0
+	h.Observe(-time.Second) // clamped to 0
 	h.Observe(0)
-	h.Observe(time.Hour)           // beyond the last bucket boundary
+	h.Observe(time.Hour) // beyond the last bucket boundary
 	if h.Count() != 3 {
 		t.Errorf("count %d want 3", h.Count())
 	}

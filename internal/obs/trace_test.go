@@ -13,8 +13,8 @@ import (
 // the Advance calls in the test, never on the wall clock.
 type fakeClock struct{ now time.Time }
 
-func newFakeClock() *fakeClock           { return &fakeClock{now: time.Unix(1000, 0)} }
-func (c *fakeClock) Now() time.Time      { return c.now }
+func newFakeClock() *fakeClock               { return &fakeClock{now: time.Unix(1000, 0)} }
+func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
 // buildGoldenTrace replays a fixed scenario with nested and overlapping

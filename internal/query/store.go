@@ -195,6 +195,10 @@ type Store struct {
 	nl      *netlist.Netlist
 	staCfg  sta.Config
 	rho     float64
+
+	// base is the unmodified design's snapshot, every what-if's
+	// baseline, taken from the analysis behind the paths table.
+	base Metrics
 }
 
 // TableNames lists the store's tables sorted.
@@ -478,6 +482,7 @@ func (s *Store) buildDesignTables(nl *netlist.Netlist, stat *statlib.Library, cf
 	if err != nil {
 		return fmt.Errorf("query: design statistics: %w", err)
 	}
+	s.base = snapshotMetrics(nl, r, ds)
 	pb := newTable("paths")
 	pEnd := pb.col("endpoint", TString)
 	pFF := pb.col("is_ff", TBool)

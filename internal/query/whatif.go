@@ -93,6 +93,12 @@ func (s *Store) metrics(nl *netlist.Netlist, r *sta.Result) (Metrics, error) {
 	if err != nil {
 		return Metrics{}, fmt.Errorf("query: what-if statistics: %w", err)
 	}
+	return snapshotMetrics(nl, r, ds), nil
+}
+
+// snapshotMetrics assembles the metrics of one analysis and its
+// statistical pass.
+func snapshotMetrics(nl *netlist.Netlist, r *sta.Result, ds *stattime.DesignStats) Metrics {
 	return Metrics{
 		AreaUM2:        nl.Area(),
 		WNSNS:          r.WNS(),
@@ -100,7 +106,7 @@ func (s *Store) metrics(nl *netlist.Netlist, r *sta.Result) (Metrics, error) {
 		MuNS:           ds.Design.Mu,
 		SigmaNS:        ds.Design.Sigma,
 		MuPlus3SigmaNS: ds.Design.ThreeSigmaUpper(),
-	}, nil
+	}
 }
 
 // Substitute evaluates "swap every instance of cell `from` for cell
@@ -126,13 +132,8 @@ func (s *Store) Substitute(from, to string) (*WhatIfResult, error) {
 	nl := s.nl.Clone()
 	eng := sta.NewEngine(nl, s.staCfg)
 	defer eng.Close()
-	r, err := eng.Analyze()
-	if err != nil {
+	if err := eng.Update(); err != nil {
 		return nil, fmt.Errorf("query: baseline analysis: %w", err)
-	}
-	base, err := s.metrics(nl, r)
-	if err != nil {
-		return nil, err
 	}
 
 	res := &WhatIfResult{
@@ -155,7 +156,7 @@ func (s *Store) Substitute(from, to string) (*WhatIfResult, error) {
 		}
 	}
 	if res.Changed == 0 {
-		res.Baseline, res.Result = base, base
+		res.Baseline, res.Result = s.base, s.base
 		res.FullAnalyses, res.IncrementalUpdates = eng.Counts()
 		return res, nil
 	}
@@ -167,7 +168,7 @@ func (s *Store) Substitute(from, to string) (*WhatIfResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Baseline, res.Result, res.Delta = base, after, after.sub(base)
+	res.Baseline, res.Result, res.Delta = s.base, after, after.sub(s.base)
 	res.FullAnalyses, res.IncrementalUpdates = eng.Counts()
 	return res, nil
 }
@@ -179,28 +180,34 @@ func (s *Store) Substitute(from, to string) (*WhatIfResult, error) {
 // drive, accepting only moves that keep timing and window legality.
 // factor > 1 widens, factor < 1 narrows. The report is the classic
 // tuning trade: area recovered vs sigma cost, with no synthesis run.
-func (s *Store) Widen(factor float64) (*WhatIfResult, error) {
+func (s *Store) Widen(factor float64) (*WhatIfResult, error) { return s.widen(factor, nil) }
+
+// widen is Widen with a hook run after every probe's update, before the
+// accept/revert decision.
+func (s *Store) widen(factor float64, probed func(*widening)) (*WhatIfResult, error) {
 	if s.nl == nil {
 		return nil, ErrNoDesign
 	}
 	if s.windows == nil || s.windows.Len() == 0 {
 		return nil, fmt.Errorf("%w: library has no restriction windows to widen", ErrBadQuery)
 	}
-	widened := widenSet(s.windows, factor)
-
 	nl := s.nl.Clone()
 	cat := nl.Cat
 	eng := sta.NewEngine(nl, s.staCfg)
 	defer eng.Close()
-	r, err := eng.Analyze()
-	if err != nil {
+	w := &widening{
+		nl:   nl,
+		eng:  eng,
+		lim:  restrict.Resolve(widenSet(s.windows, factor), cat),
+		viol: make([]uint8, nl.NetExtent()),
+	}
+	if err := eng.Update(); err != nil {
 		return nil, fmt.Errorf("query: baseline analysis: %w", err)
 	}
-	base, err := s.metrics(nl, r)
-	if err != nil {
-		return nil, err
+	for _, n := range nl.Nets {
+		w.recheck(n)
 	}
-	baseWNS := r.WNS()
+	minWNS := math.Min(0, eng.WNS()) - 1e-9
 
 	res := &WhatIfResult{
 		Schema:  SchemaWhatIf,
@@ -213,52 +220,125 @@ func (s *Store) Widen(factor float64) (*WhatIfResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: what-if topo order: %w", err)
 	}
-	// Probe one step down per instance: apply, reanalyze incrementally,
+	// Probe one step down per instance: apply, update incrementally,
 	// keep if timing holds (never worse than the baseline WNS) and the
 	// widened windows stay satisfied; otherwise revert. A reverted
-	// probe's dirty marks resolve in the next probe's analysis.
-	dirty := false
+	// probe's dirty marks resolve in the next probe's update.
 	for _, inst := range order {
 		down := downsizeStep(cat, inst.Spec)
 		if down == nil {
 			continue
 		}
 		prev := inst.Spec
-		if err := nl.Resize(inst, down); err != nil {
+		if err := w.resize(inst, down); err != nil {
 			continue
 		}
-		dirty = true
-		nr, err := eng.Analyze()
-		if err != nil {
+		if err := w.update(); err != nil {
 			return nil, fmt.Errorf("query: widen probe: %w", err)
 		}
-		ok := nr.WNS() >= math.Min(0, baseWNS)-1e-9 && legalUnder(nl, nr, widened) == 0
-		if ok {
+		if probed != nil {
+			probed(w)
+		}
+		if eng.WNS() >= minWNS && w.violations == 0 {
 			res.Changed++
 			if len(res.Changes) < maxReportedChanges {
 				res.Changes = append(res.Changes, Change{Inst: inst.Name, From: prev.Name, To: down.Name})
 			}
-			r = nr
-			dirty = false
 			continue
 		}
-		if err := nl.Resize(inst, prev); err != nil {
+		if err := w.resize(inst, prev); err != nil {
 			return nil, fmt.Errorf("query: widen revert %s: %w", inst.Name, err)
 		}
 	}
-	if dirty {
-		r, err = eng.Analyze()
-		if err != nil {
-			return nil, fmt.Errorf("query: widen final analysis: %w", err)
-		}
+	// The one snapshot of the pass, after resolving a trailing revert.
+	r, err := eng.Analyze()
+	if err != nil {
+		return nil, fmt.Errorf("query: widen final analysis: %w", err)
 	}
 	after, err := s.metrics(nl, r)
 	if err != nil {
 		return nil, err
 	}
-	res.Baseline, res.Result, res.Delta = base, after, after.sub(base)
+	res.Baseline, res.Result, res.Delta = s.base, after, after.sub(s.base)
 	res.FullAnalyses, res.IncrementalUpdates = eng.Counts()
 	return res, nil
+}
+
+// widening is the legality state of one widen pass: a per-net count of
+// violations against the widened windows, kept current by rechecking
+// only the nets a probe can have moved.
+type widening struct {
+	nl  *netlist.Netlist
+	eng *sta.Engine
+	lim *restrict.Table
+
+	viol       []uint8 // per net ID: load and slew violations, 0..2
+	violations int     // sum of viol
+
+	// touched holds the nets of the instances resized since the last
+	// update: their limits follow the driver (load) and sink (slew)
+	// specs, so they need a recheck even where their values held.
+	touched []*netlist.Net
+}
+
+func (w *widening) resize(inst *netlist.Instance, to *stdcell.Spec) error {
+	if err := w.nl.Resize(inst, to); err != nil {
+		return err
+	}
+	for _, n := range inst.In {
+		w.touched = append(w.touched, n)
+	}
+	for _, n := range inst.Out {
+		w.touched = append(w.touched, n)
+	}
+	return nil
+}
+
+// update brings the engine current and rechecks the nets it changed
+// plus the touched ones; after a full pass, every net.
+func (w *widening) update() error {
+	if err := w.eng.Update(); err != nil {
+		return err
+	}
+	ids, all := w.eng.ChangedNets()
+	if all {
+		for _, n := range w.nl.Nets {
+			w.recheck(n)
+		}
+	} else {
+		for _, id := range ids {
+			w.recheck(w.nl.Nets[id])
+		}
+		for _, n := range w.touched {
+			w.recheck(n)
+		}
+	}
+	w.touched = w.touched[:0]
+	return nil
+}
+
+// recheck recounts one net's violations: the driver's load limit, and
+// the tightest input-slew limit of any cell the net feeds — the same
+// legality the synthesizer enforces, under the widened windows.
+func (w *widening) recheck(n *netlist.Net) {
+	var v uint8
+	if n.Driver != nil && w.eng.Load(n.ID) > w.lim.Pin(n.Driver.Spec, n.DrvPin).Load+1e-12 {
+		v++
+	}
+	limit := math.Inf(1)
+	for _, snk := range n.Sinks {
+		if snk.Inst == nil {
+			continue
+		}
+		if l := w.lim.SinkSlew(snk.Inst.Spec); l < limit {
+			limit = l
+		}
+	}
+	if w.eng.Slew(n.ID) > limit+1e-12 {
+		v++
+	}
+	w.violations += int(v) - int(w.viol[n.ID])
+	w.viol[n.ID] = v
 }
 
 // widenSet scales every window's half-spans by factor about the window
@@ -288,37 +368,4 @@ func downsizeStep(cat *stdcell.Catalogue, spec *stdcell.Spec) *stdcell.Spec {
 		}
 	}
 	return nil
-}
-
-// legalUnder counts load/slew violations of the design against a
-// restriction set — the same legality the synthesizer enforces, but
-// parameterized over the candidate (widened) windows.
-func legalUnder(nl *netlist.Netlist, r *sta.Result, set *restrict.Set) int {
-	lastSlew := stdcell.SlewAxis[len(stdcell.SlewAxis)-1]
-	n := 0
-	for _, net := range nl.Nets {
-		if net.Driver != nil {
-			spec := net.Driver.Spec
-			if net.ID < len(r.Load) && r.Load[net.ID] > set.MaxLoad(spec.Name, net.DrvPin, spec.MaxCap())+1e-12 {
-				n++
-			}
-		}
-		// The slew bound of a net is the tightest input-slew window of
-		// any cell it feeds.
-		limit := math.Inf(1)
-		for _, snk := range net.Sinks {
-			if snk.Inst == nil {
-				continue
-			}
-			for _, outPin := range snk.Inst.Spec.Outputs {
-				if l := set.MaxSlew(snk.Inst.Spec.Name, outPin, lastSlew); l < limit {
-					limit = l
-				}
-			}
-		}
-		if net.ID < len(r.Slew) && r.Slew[net.ID] > limit+1e-12 {
-			n++
-		}
-	}
-	return n
 }

@@ -3,13 +3,17 @@
 // standard cell, minimum and maximum output-load and input-slew values
 // that bind synthesis to a section of the cell's look-up table (paper
 // Section VI: "for each pin of a standard cell a minimum and maximum slew
-// and load value can be defined").
+// and load value can be defined"). A Set resolved against a catalogue
+// (Resolve) is the Table every legality check reads.
 package restrict
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+
+	"stdcelltune/internal/stdcell"
 )
 
 // Window is the allowed LUT region of one output pin.
@@ -122,3 +126,91 @@ func (s *Set) String() string {
 	}
 	return b.String()
 }
+
+// Limit is the binding legality bound of one cell output pin: the
+// window bound where the set holds a tighter one, otherwise the
+// fallback — the cell's max_capacitance for load, the LUT's last slew
+// point for slew.
+type Limit struct {
+	Load float64 // pF, output load
+	Slew float64 // ns, input slew of the related pins
+}
+
+// Table is a Set resolved once against a catalogue: every spec's
+// per-output-pin limits, looked up by spec pointer, so a legality check
+// builds no "cell/pin" key. Immutable; safe for concurrent use. A nil
+// Set resolves to the fallbacks alone.
+type Table struct {
+	set   *Set
+	specs map[*stdcell.Spec]specLimits
+}
+
+// specLimits is one spec's resolution: pins aligned with Spec.Outputs,
+// and sink, the tightest slew over them — the bound the cell puts on
+// the transition of a net it sinks.
+type specLimits struct {
+	pins []Limit
+	sink float64
+}
+
+// Resolve builds the limit table of a set over every spec of the
+// catalogue.
+func Resolve(s *Set, cat *stdcell.Catalogue) *Table {
+	t := &Table{set: s, specs: make(map[*stdcell.Spec]specLimits, len(cat.Specs))}
+	n := 0
+	for _, spec := range cat.Specs {
+		n += len(spec.Outputs)
+	}
+	flat := make([]Limit, n)
+	for _, spec := range cat.Specs {
+		k := len(spec.Outputs)
+		t.specs[spec] = t.resolve(spec, flat[:k:k])
+		flat = flat[k:]
+	}
+	return t
+}
+
+// lastSlew is the slew fallback: the end of the LUT slew axis.
+func lastSlew() float64 { return stdcell.SlewAxis[len(stdcell.SlewAxis)-1] }
+
+func (t *Table) limit(spec *stdcell.Spec, pin string) Limit {
+	return Limit{Load: t.set.MaxLoad(spec.Name, pin, spec.MaxCap()), Slew: t.set.MaxSlew(spec.Name, pin, lastSlew())}
+}
+
+func (t *Table) resolve(spec *stdcell.Spec, pins []Limit) specLimits {
+	l := specLimits{pins: pins, sink: math.Inf(1)}
+	for i, pin := range spec.Outputs {
+		pins[i] = t.limit(spec, pin)
+		if pins[i].Slew < l.sink {
+			l.sink = pins[i].Slew
+		}
+	}
+	return l
+}
+
+// of returns a spec's resolution; a spec outside the catalogue is
+// resolved on the fly (and not stored, keeping the table immutable).
+func (t *Table) of(spec *stdcell.Spec) specLimits {
+	if l, ok := t.specs[spec]; ok {
+		return l
+	}
+	return t.resolve(spec, make([]Limit, len(spec.Outputs)))
+}
+
+// Pins returns the spec's limits aligned with spec.Outputs.
+func (t *Table) Pins(spec *stdcell.Spec) []Limit { return t.of(spec).pins }
+
+// Pin returns the limit of one output pin of the spec.
+func (t *Table) Pin(spec *stdcell.Spec, pin string) Limit {
+	l := t.of(spec)
+	for i, p := range spec.Outputs {
+		if p == pin {
+			return l.pins[i]
+		}
+	}
+	return t.limit(spec, pin)
+}
+
+// SinkSlew returns the tightest input-slew limit over all of the spec's
+// output pins: the bound an instance of it puts on each net it sinks.
+func (t *Table) SinkSlew(spec *stdcell.Spec) float64 { return t.of(spec).sink }

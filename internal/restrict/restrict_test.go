@@ -1,9 +1,12 @@
 package restrict
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"stdcelltune/internal/stdcell"
 )
 
 func TestWindowAllows(t *testing.T) {
@@ -148,5 +151,42 @@ func TestAllowsConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTableMatchesSet checks every resolved limit against the string-keyed
+// Set lookups it replaces, for a set with windows looser and tighter
+// than the fallbacks, and for the unrestricted nil set.
+func TestTableMatchesSet(t *testing.T) {
+	cat := stdcell.NewCatalogue(stdcell.Typical)
+	last := stdcell.SlewAxis[len(stdcell.SlewAxis)-1]
+	set := NewSet("t")
+	set.Put("INV_4", "Y", Window{MaxLoad: 0.01, MaxSlew: 0.1})
+	set.Put("ADDF_1", "S", Window{MaxLoad: 1e3, MaxSlew: 0.2})
+	set.Put("ADDF_1", "CO", Window{MaxLoad: 0.002, MaxSlew: 0.05})
+	for _, s := range []*Set{set, nil} {
+		tab := Resolve(s, cat)
+		for _, name := range cat.CellNames() {
+			spec := cat.Spec(name)
+			sink := math.Inf(1)
+			for i, pin := range spec.Outputs {
+				want := Limit{Load: s.MaxLoad(name, pin, spec.MaxCap()), Slew: s.MaxSlew(name, pin, last)}
+				if got := tab.Pins(spec)[i]; got != want {
+					t.Fatalf("%s/%s: Pins %+v want %+v", name, pin, got, want)
+				}
+				if got := tab.Pin(spec, pin); got != want {
+					t.Fatalf("%s/%s: Pin %+v want %+v", name, pin, got, want)
+				}
+				sink = math.Min(sink, want.Slew)
+			}
+			if got := tab.SinkSlew(spec); got != sink {
+				t.Fatalf("%s: SinkSlew %v want %v", name, got, sink)
+			}
+		}
+	}
+	// A spec outside the catalogue resolves on the fly.
+	odd := *cat.Spec("INV_4")
+	if got := Resolve(set, cat).Pin(&odd, "Y"); got.Load != 0.01 || got.Slew != 0.1 {
+		t.Fatalf("uncatalogued spec: %+v", got)
 	}
 }

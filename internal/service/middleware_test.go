@@ -20,12 +20,12 @@ import (
 
 func TestValidRequestID(t *testing.T) {
 	for id, want := range map[string]bool{
-		"abc-123.DEF_x": true,
-		"a":             true,
-		"":              false,
-		"has space":     false,
-		"inject\nlog":   false,
-		`q"uote`:        false,
+		"abc-123.DEF_x":         true,
+		"a":                     true,
+		"":                      false,
+		"has space":             false,
+		"inject\nlog":           false,
+		`q"uote`:                false,
 		strings.Repeat("x", 64): true,
 		strings.Repeat("x", 65): false,
 	} {

@@ -14,8 +14,9 @@ import (
 )
 
 // engineVerify, set via STA_VERIFY=1, makes every engine cross-check its
-// snapshots against a fresh full Analyze — the debug switch for hunting
-// any bit-identity violation in a real flow (slow: quadratic).
+// snapshots and updates against a fresh full Analyze — the debug switch
+// for hunting any bit-identity violation in a real flow (slow:
+// quadratic).
 var engineVerify = os.Getenv("STA_VERIFY") == "1"
 
 // Process-wide incremental-STA counters. Always-on (one atomic add per
@@ -94,11 +95,13 @@ type Engine struct {
 	dirtyInst map[int]*netlist.Instance
 	dirtyLoad map[int]*netlist.Net
 
-	haveState bool    // arrays describe the current netlist
-	last      *Result // snapshot matching the arrays; nil while dirt is pending
-	// prev is the most recent snapshot taken from the arrays; when an
-	// incremental update turns out bitwise no-op (a healed revert), it is
-	// re-used instead of allocating an identical snapshot.
+	haveState bool    // arrays describe the netlist as of the last update
+	last      *Result // snapshot matching the arrays; nil while dirt is pending or after Update
+	// prev is the most recent snapshot taken from the arrays, kept only
+	// while the arrays still match it: update drops it whenever they
+	// move. When an incremental update turns out bitwise no-op (a healed
+	// revert), Analyze re-uses it instead of allocating an identical
+	// snapshot.
 	prev *Result
 
 	// Worklist scratch for runIncremental: queuedGen[id] == queueGen marks
@@ -126,6 +129,11 @@ type Engine struct {
 
 	fullCount int
 	incCount  int
+
+	// Nets the last update changed (see ChangedNets); changedAll marks
+	// a full pass, which records nothing per net.
+	changed    []int
+	changedAll bool
 }
 
 // engArena carves the small fixed-size slices every engine cell needs
@@ -346,20 +354,83 @@ func (e *Engine) OnSinksChanged(n *netlist.Net) {
 // --- analysis ------------------------------------------------------
 
 // Analyze brings the timing state up to date with the netlist and
-// returns a snapshot. With no pending edits the previous snapshot is
-// returned as-is; a small dirty set is re-propagated as a cone from the
-// dirty frontier; a large one falls back to a full pass (which still
-// serves unchanged operating points from the arc cache).
+// returns a snapshot: Update, then snapshot. With no pending edits the
+// previous snapshot is returned as-is; a small dirty set is
+// re-propagated as a cone from the dirty frontier; a large one falls
+// back to a full pass (which still serves unchanged operating points
+// from the arc cache). After an Update with no edits since, only the
+// snapshot is taken — no update runs or is counted.
 func (e *Engine) Analyze() (*Result, error) {
 	if e.haveState && e.last != nil {
 		return e.last, nil
 	}
+	full := false
+	if !e.haveState || e.pending() {
+		var err error
+		if full, err = e.update(); err != nil {
+			return nil, err
+		}
+	}
+	// prev survives update only when the arrays did not move (a bitwise
+	// no-op update, typically a healed revert): re-use it instead of
+	// allocating an identical snapshot.
+	if e.prev != nil && e.prev.topoGen == e.nl.TopoGen() {
+		e.last = e.prev
+	} else {
+		e.last = e.snapshot()
+		e.prev = e.last
+	}
+	if engineVerify {
+		if err := e.verify(e.last, full); err != nil {
+			return nil, err
+		}
+	}
+	return e.last, nil
+}
+
+// Update brings the working state up to date with the netlist exactly
+// as Analyze does, but takes no snapshot. A probe loop reads the result
+// through ChangedNets, WNS, Load and Slew, so a probe costs the cone it
+// moved rather than an O(nets) copy. A later Analyze with no edits in
+// between only takes the snapshot.
+func (e *Engine) Update() error {
+	if e.haveState && !e.pending() {
+		e.changed = e.changed[:0]
+		e.changedAll = false
+		return nil
+	}
+	full, err := e.update()
+	if err != nil {
+		return err
+	}
+	if engineVerify {
+		r := e.snapshot()
+		err := e.verify(r, full)
+		if err == nil && math.Float64bits(e.WNS()) != math.Float64bits(r.WNS()) {
+			err = fmt.Errorf("sta verify: WNS %v want %v", e.WNS(), r.WNS())
+		}
+		e.Recycle(r)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pending reports whether edits arrived since the last update.
+func (e *Engine) pending() bool { return len(e.dirtyInst)+len(e.dirtyLoad) > 0 }
+
+// update runs one full or incremental pass over the working arrays and
+// records which nets it changed. It drops prev whenever the arrays
+// moved: prev must only ever describe the arrays as they are, or a
+// later no-op update would re-use a stale snapshot.
+func (e *Engine) update() (full bool, err error) {
 	order, err := e.nl.TopoOrder()
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	e.ensureSizes()
-	full := !e.haveState
+	full = !e.haveState
 	if !full {
 		threshold := int(e.fullFrac() * float64(len(e.nl.Instances)))
 		if threshold < minFullThreshold {
@@ -369,42 +440,72 @@ func (e *Engine) Analyze() (*Result, error) {
 			full = true
 		}
 	}
-	reuse := false
+	e.changed = e.changed[:0]
+	e.changedAll = full
 	if full {
 		e.runFull(order)
 		staFullAnalyses.Add(1)
 		e.fullCount++
+		e.prev = nil
 	} else {
 		cone, changed, err := e.runIncremental(order)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		staIncremental.Add(1)
 		staDirtyCone.ObserveN(int64(cone))
 		e.incCount++
-		// A bitwise no-op update (typically a healed revert) re-uses the
-		// previous snapshot instead of allocating an identical one.
-		reuse = !changed && e.prev != nil && e.prev.topoGen == e.nl.TopoGen()
+		if changed {
+			e.prev = nil
+		}
 	}
 	clear(e.dirtyInst)
 	clear(e.dirtyLoad)
 	e.haveState = true
-	if reuse {
-		e.last = e.prev
-	} else {
-		e.last = e.snapshot()
-		e.prev = e.last
-	}
-	if engineVerify {
-		if err := e.verifySnapshot(e.last, full); err != nil {
-			if os.Getenv("STA_VERIFY_PANIC") == "1" {
-				os.Stderr.Write(debug.Stack())
-				panic(err)
-			}
-			return nil, err
+	e.last = nil
+	return full, nil
+}
+
+// ChangedNets reports the nets the last update changed: the IDs whose
+// load, max-capacitance flag, arrival, slew or fromPin moved bitwise,
+// unordered and possibly repeated. all is true after a full pass, when
+// any net may have moved and ids is empty.
+func (e *Engine) ChangedNets() (ids []int, all bool) { return e.changed, e.changedAll }
+
+// WNS returns the worst negative slack of the working state, bitwise
+// equal to Result.WNS of the snapshot Analyze would take now: the same
+// endpoints in the same sorted order, the same slack arithmetic. It
+// describes the last Update or Analyze, not edits made since.
+func (e *Engine) WNS() float64 {
+	required := e.cfg.ClockPeriod - e.cfg.Uncertainty
+	w := math.Inf(1)
+	for _, ref := range e.endpointRefs() {
+		if s := e.slack(ref, required); s < w {
+			w = s
 		}
 	}
-	return e.last, nil
+	if math.IsInf(w, 1) {
+		return 0
+	}
+	return w
+}
+
+// Load returns the working load of a net (pF), as of the last update.
+func (e *Engine) Load(id int) float64 { return e.load[id] }
+
+// Slew returns the working transition of a net (ns), as of the last
+// update.
+func (e *Engine) Slew(id int) float64 { return e.slew[id] }
+
+// verify cross-checks a snapshot against a fresh full Analyze (only
+// under STA_VERIFY=1), panicking with a stack under STA_VERIFY_PANIC=1.
+func (e *Engine) verify(r *Result, full bool) error {
+	err := e.verifySnapshot(r, full)
+	if err != nil && os.Getenv("STA_VERIFY_PANIC") == "1" {
+		os.Stderr.Write(debug.Stack())
+		panic(err)
+	}
+	return err
 }
 
 // verifySnapshot compares a snapshot against a fresh full Analyze and
@@ -481,12 +582,7 @@ func (e *Engine) fullFrac() float64 {
 // ensureSizes grows the per-net arrays and the per-instance cell cache
 // to the current netlist extent.
 func (e *Engine) ensureSizes() {
-	nNets := 0
-	for _, n := range e.nl.Nets {
-		if n.ID >= nNets {
-			nNets = n.ID + 1
-		}
-	}
+	nNets := e.nl.NetExtent()
 	for len(e.load) < nNets {
 		e.load = append(e.load, 0)
 		e.arrival = append(e.arrival, 0)
@@ -669,6 +765,9 @@ func (e *Engine) store(id int, arrival, slew float64, from string) bool {
 		return false
 	}
 	e.arrival[id], e.slew[id], e.fromPin[id] = arrival, slew, from
+	if !e.changedAll {
+		e.changed = append(e.changed, id)
+	}
 	return true
 }
 
@@ -769,6 +868,9 @@ func (e *Engine) runIncremental(order []*netlist.Instance) (cone int, changed bo
 	}
 	for _, n := range e.dirtyLoad {
 		lc, oc := e.computeLoad(n)
+		if lc || oc {
+			e.changed = append(e.changed, n.ID)
+		}
 		if oc {
 			changed = true // max-cap violation set differs
 		}
@@ -884,18 +986,22 @@ func (e *Engine) snapshot() *Result {
 		r.Endpoints = r.Endpoints[:0]
 	}
 	for _, ref := range refs {
-		ep := Endpoint{
+		r.Endpoints = append(r.Endpoints, Endpoint{
 			Name: ref.name, IsFF: ref.isFF, Inst: ref.inst, Net: ref.net,
-			Arrival: r.Arrival[ref.net.ID],
-		}
-		if ref.isFF {
-			ep.Slack = required - ref.inst.Spec.SetupTime(e.nl.Cat.Corner) - ep.Arrival
-		} else {
-			ep.Slack = required - ep.Arrival
-		}
-		r.Endpoints = append(r.Endpoints, ep)
+			Arrival: r.Arrival[ref.net.ID], Slack: e.slack(ref, required),
+		})
 	}
 	return r
+}
+
+// slack is an endpoint's slack over the working arrays, the one formula
+// both snapshot and WNS use (setup is re-read from the instance spec:
+// resizes change it without a topology edit).
+func (e *Engine) slack(ref epRef, required float64) float64 {
+	if ref.isFF {
+		return required - ref.inst.Spec.SetupTime(e.nl.Cat.Corner) - e.arrival[ref.net.ID]
+	}
+	return required - e.arrival[ref.net.ID]
 }
 
 // endpointRefs returns the endpoint skeleton — the FF D pins and primary
@@ -961,6 +1067,7 @@ func (e *Engine) Rewind(r *Result) error {
 	clear(e.dirtyLoad)
 	e.haveState = true
 	e.last = r
+	e.changed, e.changedAll = e.changed[:0], true
 	// The arrays now describe r exactly, so r is also the snapshot a
 	// bitwise no-op update may legally reuse; leaving an older prev in
 	// place would let a later no-change Analyze resurrect stale state.

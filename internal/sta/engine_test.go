@@ -373,6 +373,147 @@ func TestEngineFullFallback(t *testing.T) {
 	checkIdentical(t, "fallback", got, want)
 }
 
+// TestEngineUpdateMatchesAnalyze drives the snapshot-free Update through
+// random resize sequences — single resizes, bitwise no-op reverts, and
+// batches big enough to force the full fallback — and checks what a
+// probe loop reads after every update against a fresh Analyze: WNS
+// bitwise, Load and Slew per net, and every net whose state changed
+// since the previous update reported by ChangedNets. Every fifth step
+// also snapshots right after the Update: the snapshot must describe the
+// moved arrays (it fails if a stale pre-Update snapshot is re-used) and
+// must count no further update.
+func TestEngineUpdateMatchesAnalyze(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			nl := randNetlist(t, rng, 60+rng.Intn(40))
+			cfg := DefaultConfig(1.0 + rng.Float64())
+			e := NewEngine(nl, cfg)
+			defer e.Close()
+			if err := e.Update(); err != nil {
+				t.Fatal(err)
+			}
+			if _, all := e.ChangedNets(); !all {
+				t.Fatal("the first update is a full pass: ChangedNets must report all")
+			}
+			before, err := Analyze(nl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resize := func(inst *netlist.Instance, to *stdcell.Spec) {
+				t.Helper()
+				if err := nl.Resize(inst, to); err != nil {
+					t.Fatal(err)
+				}
+			}
+			randSpec := func(inst *netlist.Instance) *stdcell.Spec {
+				fam := nl.Cat.Families[inst.Spec.Family]
+				return fam[rng.Intn(len(fam))]
+			}
+			sawFull, sawNoop := false, false
+			for step := 0; step < 40; step++ {
+				kind := rng.Intn(6)
+				switch kind {
+				case 4: // resize and revert before the update: a bitwise no-op
+					inst := nl.Instances[rng.Intn(len(nl.Instances))]
+					from := inst.Spec
+					resize(inst, randSpec(inst))
+					resize(inst, from)
+				case 5: // resize most of the design: past FullFrac
+					for _, inst := range nl.Instances {
+						if rng.Intn(4) != 0 {
+							resize(inst, randSpec(inst))
+						}
+					}
+				default:
+					inst := nl.Instances[rng.Intn(len(nl.Instances))]
+					resize(inst, randSpec(inst))
+				}
+				fullBefore, _ := e.Counts()
+				if err := e.Update(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				want, err := Analyze(nl, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := e.WNS(), want.WNS(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("step %d: WNS %v want %v", step, g, w)
+				}
+				for id := range want.Load {
+					if math.Float64bits(e.Load(id)) != math.Float64bits(want.Load[id]) ||
+						math.Float64bits(e.Slew(id)) != math.Float64bits(want.Slew[id]) {
+						t.Fatalf("step %d: net %d load/slew (%v, %v) want (%v, %v)", step, id, e.Load(id), e.Slew(id), want.Load[id], want.Slew[id])
+					}
+				}
+				ids, all := e.ChangedNets()
+				full, _ := e.Counts()
+				if all != (full > fullBefore) {
+					t.Fatalf("step %d: ChangedNets all=%v after full=%v", step, all, full > fullBefore)
+				}
+				sawFull = sawFull || all
+				if kind == 4 {
+					sawNoop = true
+					if len(ids) != 0 || all {
+						t.Fatalf("step %d: no-op revert reported changes %v (all=%v)", step, ids, all)
+					}
+				}
+				if !all {
+					reported := make(map[int]bool, len(ids))
+					for _, id := range ids {
+						reported[id] = true
+					}
+					for _, id := range changedBetween(before, want) {
+						if !reported[id] {
+							t.Fatalf("step %d: net %d changed but ChangedNets omits it", step, id)
+						}
+					}
+				}
+				if step%5 == 0 {
+					// A snapshot after an Update takes the arrays as they
+					// are, and counts no further update.
+					f, i := e.Counts()
+					got, err := e.Analyze()
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkIdentical(t, fmt.Sprintf("step %d snapshot", step), got, want)
+					if f2, i2 := e.Counts(); f2 != f || i2 != i {
+						t.Fatalf("step %d: snapshot counted an update", step)
+					}
+				}
+				before = want
+			}
+			if !sawFull || !sawNoop {
+				t.Fatalf("sequence missed a case: full=%v noop=%v", sawFull, sawNoop)
+			}
+		})
+	}
+}
+
+// changedBetween lists the nets whose load, max-cap flag, arrival, slew
+// or fromPin differ bitwise between two analyses of one netlist.
+func changedBetween(a, b *Result) []int {
+	over := func(r *Result) map[int]bool {
+		m := make(map[int]bool)
+		for _, n := range r.MaxCapViolations {
+			m[n.ID] = true
+		}
+		return m
+	}
+	oa, ob := over(a), over(b)
+	var ids []int
+	for id := range b.Load {
+		if math.Float64bits(a.Load[id]) != math.Float64bits(b.Load[id]) ||
+			math.Float64bits(a.Arrival[id]) != math.Float64bits(b.Arrival[id]) ||
+			math.Float64bits(a.Slew[id]) != math.Float64bits(b.Slew[id]) ||
+			a.fromPin[id] != b.fromPin[id] || oa[id] != ob[id] {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
 // FuzzEngineEdits feeds arbitrary edit streams to the engine and checks
 // bit-identity with a fresh Analyze after each edit.
 func FuzzEngineEdits(f *testing.F) {

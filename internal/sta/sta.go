@@ -151,12 +151,7 @@ func Analyze(nl *netlist.Netlist, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nNets := 0
-	for _, n := range nl.Nets {
-		if n.ID >= nNets {
-			nNets = n.ID + 1
-		}
-	}
+	nNets := nl.NetExtent()
 	r := &Result{
 		Cfg:     cfg,
 		Load:    make([]float64, nNets),

@@ -63,7 +63,7 @@ func (r *Result) Area() float64 { return r.Netlist.Area() }
 // loads above the binding limit (max_capacitance or window) and input
 // slews above the window bound.
 func (r *Result) Violations() int {
-	o := &optimizer{nl: r.Netlist, cat: r.Netlist.Cat, opts: r.Opts}
+	o := newOptimizer(r.Netlist, r.Opts)
 	return o.legal(r.Timing)
 }
 
@@ -77,14 +77,15 @@ type Violation struct {
 
 // ViolationList enumerates remaining legality problems for diagnostics.
 func (r *Result) ViolationList() []Violation {
-	o := &optimizer{nl: r.Netlist, cat: r.Netlist.Cat, opts: r.Opts}
+	o := newOptimizer(r.Netlist, r.Opts)
 	var out []Violation
 	for _, op := range r.Timing.OperatingPoints() {
-		if lim := o.loadLimit(op.Inst.Spec, op.OutPin); op.Load > lim+1e-12 {
-			out = append(out, Violation{Cell: op.Inst.Spec.Name, Pin: op.OutPin, Kind: "load", Value: op.Load, Limit: lim})
+		lim := o.lim.Pins(op.Inst.Spec)[op.OutIdx]
+		if op.Load > lim.Load+1e-12 {
+			out = append(out, Violation{Cell: op.Inst.Spec.Name, Pin: op.OutPin, Kind: "load", Value: op.Load, Limit: lim.Load})
 		}
-		if lim := o.slewLimit(op.Inst.Spec, op.OutPin); op.WorstIn > lim+1e-12 {
-			out = append(out, Violation{Cell: op.Inst.Spec.Name, Pin: op.OutPin, Kind: "slew", Value: op.WorstIn, Limit: lim})
+		if op.WorstIn > lim.Slew+1e-12 {
+			out = append(out, Violation{Cell: op.Inst.Spec.Name, Pin: op.OutPin, Kind: "slew", Value: op.WorstIn, Limit: lim.Slew})
 		}
 	}
 	return out
@@ -98,11 +99,9 @@ type optimizer struct {
 	res  *Result
 	eng  *sta.Engine
 
-	// limits memoizes (loadLimit, slewLimit) per spec output pin — the
-	// legality scan hits every instance on every snapshot, and the
-	// restriction-window lookup behind loadLimit/slewLimit concatenates
-	// a map key per call.
-	limits map[*stdcell.Spec][]limitPair
+	// lim is opts.Restrict resolved per spec: every legality check reads
+	// it, none builds a window-set key.
+	lim *restrict.Table
 
 	// batchScratch backs collectDownsizes' move list, reused across the
 	// ~50 margin-ladder calls per recovery pass. Only one batch is alive
@@ -110,22 +109,8 @@ type optimizer struct {
 	batchScratch []sizeMove
 }
 
-// limitPair is the cached legality bound of one output pin.
-type limitPair struct{ load, slew float64 }
-
-func (o *optimizer) limitsFor(spec *stdcell.Spec) []limitPair {
-	if l, ok := o.limits[spec]; ok {
-		return l
-	}
-	l := make([]limitPair, len(spec.Outputs))
-	for i, pin := range spec.Outputs {
-		l[i] = limitPair{load: o.loadLimit(spec, pin), slew: o.slewLimit(spec, pin)}
-	}
-	if o.limits == nil {
-		o.limits = make(map[*stdcell.Spec][]limitPair)
-	}
-	o.limits[spec] = l
-	return l
+func newOptimizer(nl *netlist.Netlist, opts Options) *optimizer {
+	return &optimizer{nl: nl, cat: nl.Cat, opts: opts, lim: restrict.Resolve(opts.Restrict, nl.Cat)}
 }
 
 // Optimize sizes, legalizes and area-recovers an already mapped netlist
@@ -139,7 +124,8 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 // the trace shows where the optimization loop spends its time.
 func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (*Result, error) {
 	opts = opts.normalized()
-	o := &optimizer{nl: nl, cat: nl.Cat, opts: opts, res: &Result{Netlist: nl, Opts: opts}}
+	o := newOptimizer(nl, opts)
+	o.res = &Result{Netlist: nl, Opts: opts}
 	o.eng = sta.NewEngine(nl, opts.STA)
 	defer o.eng.Close()
 	if err := o.run(ctx); err != nil {
@@ -226,29 +212,16 @@ func (o *optimizer) run(ctx context.Context) error {
 	return nil
 }
 
-// loadLimit returns the binding load limit of a driver output pin: the
-// smaller of its max_capacitance and the restriction window bound.
-func (o *optimizer) loadLimit(spec *stdcell.Spec, pin string) float64 {
-	return o.opts.Restrict.MaxLoad(spec.Name, pin, spec.MaxCap())
-}
-
-// slewLimit returns the binding input-slew limit of a cell (per output
-// pin window; the LUT slew axis is the input transition).
-func (o *optimizer) slewLimit(spec *stdcell.Spec, pin string) float64 {
-	last := stdcell.SlewAxis[len(stdcell.SlewAxis)-1]
-	return o.opts.Restrict.MaxSlew(spec.Name, pin, last)
-}
-
 // legal counts remaining legality violations (load over limit or input
 // slew over window).
 func (o *optimizer) legal(r *sta.Result) int {
 	n := 0
 	r.EachOperatingPoint(func(op sta.OperatingPoint) {
-		lim := o.limitsFor(op.Inst.Spec)[op.OutIdx]
-		if op.Load > lim.load+1e-12 {
+		lim := o.lim.Pins(op.Inst.Spec)[op.OutIdx]
+		if op.Load > lim.Load+1e-12 {
 			n++
 		}
-		if op.WorstIn > lim.slew+1e-12 {
+		if op.WorstIn > lim.Slew+1e-12 {
 			n++
 		}
 	})
@@ -265,7 +238,7 @@ func (o *optimizer) fixLegality(r *sta.Result) int {
 			continue
 		}
 		spec := n.Driver.Spec
-		limit := o.loadLimit(spec, n.DrvPin)
+		limit := o.lim.Pin(spec, n.DrvPin).Load
 		load := r.Load[n.ID]
 		if load <= limit+1e-12 {
 			continue
@@ -312,7 +285,7 @@ func (o *optimizer) fixLegality(r *sta.Result) int {
 			if outPin == "" {
 				continue
 			}
-			if l := o.slewLimit(s.Inst.Spec, outPin); l < limit {
+			if l := o.lim.Pin(s.Inst.Spec, outPin).Slew; l < limit {
 				limit = l
 			}
 		}
@@ -344,7 +317,7 @@ func (o *optimizer) nextSizeFor(spec *stdcell.Spec, pin string, load float64) *s
 		if s.Drive <= spec.Drive {
 			continue
 		}
-		if load <= o.loadLimit(s, pin) {
+		if load <= o.lim.Pin(s, pin).Load {
 			return s
 		}
 	}
@@ -454,7 +427,7 @@ func (o *optimizer) smallestInvFor(load float64, minDrive int) *stdcell.Spec {
 		if s.Drive < minDrive {
 			continue
 		}
-		if load <= o.loadLimit(s, "Y") {
+		if load <= o.lim.Pin(s, "Y").Load {
 			return s
 		}
 	}
@@ -488,7 +461,7 @@ func (o *optimizer) timingStep(r *sta.Result) int {
 			continue
 		}
 		// The bigger cell must itself be legal at this operating point.
-		if r.Load[n.ID] > o.loadLimit(up, n.DrvPin) {
+		if r.Load[n.ID] > o.lim.Pin(up, n.DrvPin).Load {
 			continue
 		}
 		if !o.windowAllowsSlew(up, n.DrvPin, r, inst) {
@@ -505,7 +478,7 @@ func (o *optimizer) timingStep(r *sta.Result) int {
 // windowAllowsSlew checks the candidate spec's slew window against the
 // instance's current worst input slew.
 func (o *optimizer) windowAllowsSlew(cand *stdcell.Spec, pin string, r *sta.Result, inst *netlist.Instance) bool {
-	limit := o.slewLimit(cand, pin)
+	limit := o.lim.Pin(cand, pin).Slew
 	for _, p := range inst.Spec.Inputs {
 		in := inst.In[p]
 		if in == nil || in.ID >= len(r.Slew) {
@@ -587,7 +560,7 @@ func (o *optimizer) collectDownsizes(r *sta.Result, margin float64) []sizeMove {
 		if down == nil {
 			continue
 		}
-		if r.Load[n.ID] > o.loadLimit(down, n.DrvPin) {
+		if r.Load[n.ID] > o.lim.Pin(down, n.DrvPin).Load {
 			continue
 		}
 		if !o.windowAllowsSlew(down, n.DrvPin, r, inst) {
