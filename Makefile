@@ -6,10 +6,11 @@ GO ?= go
 # Benchmarks tracked in BENCH_PR7.json (see DESIGN.md, "Performance
 # baseline & benchmark JSON").
 BENCH_JSON ?= BENCH_PR7.json
-BENCH_PAT  ?= BenchmarkCharacterize$$|BenchmarkFig3Bilinear$$|BenchmarkFig6LargestRectangle$$|BenchmarkAnalyzeDesign$$|BenchmarkLUTBilinearLookup$$|BenchmarkSynthesize$$|BenchmarkSynthesizeRestricted$$|BenchmarkWiden$$
+BENCH_PAT  ?= BenchmarkCharacterize$$|BenchmarkFig3Bilinear$$|BenchmarkFig6LargestRectangle$$|BenchmarkAnalyzeDesign$$|BenchmarkLUTBilinearLookup$$|BenchmarkSynthesize$$|BenchmarkSynthesizeRestricted$$|BenchmarkWiden$$|BenchmarkWriteLiberty$$|BenchmarkParseLiberty$$|BenchmarkBuildQueryStore$$
 BENCH_SCALE ?= small
 # Allocation-regression gate: bench-check fails any tracked benchmark
-# whose allocs_per_op exceeds ALLOC_RATIO x its recorded baseline.
+# whose allocs_per_op or bytes_per_op exceeds ALLOC_RATIO x its
+# recorded baseline.
 ALLOC_RATIO ?= 1.10
 
 .PHONY: ci fmt vet build test test-procs2 race fuzz fuzz-short bench-json bench-check experiments-small obs-smoke serve-smoke crash-smoke load-smoke cluster-smoke query-smoke cluster-bench clean
@@ -43,11 +44,13 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseLiberty -fuzztime=30s ./internal/liberty
 
 # One short iteration over every fuzz target, so the NaN-lookup guard,
-# the parser, the incremental-STA equivalence contract, and the journal's
-# torn-tail recovery cannot regress silently in CI.
+# the Liberty and Verilog parsers (each held to the parser it replaced),
+# the incremental-STA equivalence contract, and the journal's torn-tail
+# recovery cannot regress silently in CI.
 fuzz-short:
 	$(GO) test -run=^$$ -fuzz=FuzzLookup -fuzztime=5s ./internal/lut
 	$(GO) test -run=^$$ -fuzz=FuzzParseLiberty -fuzztime=5s ./internal/liberty
+	$(GO) test -run=^$$ -fuzz=FuzzParseVerilog -fuzztime=5s ./internal/netlist
 	$(GO) test -run=^$$ -fuzz=FuzzEngineEdits -fuzztime=5s ./internal/sta
 	$(GO) test -run=^$$ -fuzz=FuzzReplay -fuzztime=5s ./internal/service/journal
 
@@ -59,7 +62,8 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -out $(BENCH_JSON)
 
 # Validate the tracked benchmark JSON (schema + phases) and fail on
-# allocs_per_op regressions beyond ALLOC_RATIO x baseline.
+# allocs_per_op or bytes_per_op regressions beyond ALLOC_RATIO x
+# baseline.
 bench-check:
 	$(GO) run ./cmd/obscheck -bench $(BENCH_JSON) -allocratio $(ALLOC_RATIO)
 

@@ -11,6 +11,7 @@ package stdcelltune_test
 import (
 	"context"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,7 +19,9 @@ import (
 	"stdcelltune/internal/core"
 	"stdcelltune/internal/dist"
 	"stdcelltune/internal/exp"
+	"stdcelltune/internal/liberty"
 	"stdcelltune/internal/lut"
+	"stdcelltune/internal/netlist"
 	"stdcelltune/internal/pathmc"
 	"stdcelltune/internal/query"
 	"stdcelltune/internal/sta"
@@ -559,6 +562,86 @@ func BenchmarkWiden(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Widen(1.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The artifact codec: the statistical library's Liberty text, written
+// and read back, and a query store rebuilt from artifact text. All three
+// use the flow's statistical library; the store also reads the MCU
+// synthesized under sigma-ceiling windows. BENCH_PR7.json gates their
+// allocs_per_op and bytes_per_op, which catch a return to fmt-based
+// printing, materialized token slices or per-row string splitting.
+
+// BenchmarkWriteLiberty renders the statistical library as Liberty
+// text, the service's statlib.lib: the Liberty model, then the text.
+func BenchmarkWriteLiberty(b *testing.B) {
+	f := flow(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.SetBytes(int64(len(liberty.Append(nil, f.Stat.ToLiberty()))))
+	}
+}
+
+// BenchmarkParseLiberty parses that text back into a Liberty library.
+func BenchmarkParseLiberty(b *testing.B) {
+	text := string(liberty.Append(nil, flow(b).Stat.ToLiberty()))
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := liberty.Parse(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildQueryStore rebuilds a query store from artifact text
+// the way the service does after a store-cache miss: parse the
+// statistical library and rebuild its statistics, parse the netlist,
+// then build the columns (one STA and one statistical-timing pass).
+// Ledger item "query store build".
+func BenchmarkBuildQueryStore(b *testing.B) {
+	f := flow(b)
+	clocks, err := f.Clocks()
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, _, err := f.Tune(core.SigmaCeiling, 0.02)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := f.Tuned(core.SigmaCeiling, 0.02, clocks.Medium)
+	if err != nil {
+		b.Fatal(err)
+	}
+	libText := string(liberty.Append(nil, f.Stat.ToLiberty()))
+	var nb strings.Builder
+	if err := netlist.WriteVerilog(&nb, res.Netlist); err != nil {
+		b.Fatal(err)
+	}
+	verilog := nb.String()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lib, err := liberty.Parse(libText)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stat, err := statlib.FromLiberty(lib)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nl, err := netlist.ParseVerilog(verilog, f.Cat)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := query.Build(query.Source{
+			Library: "bench", Stat: stat, Windows: set,
+			Netlist: nl, STA: sta.DefaultConfig(clocks.Medium),
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

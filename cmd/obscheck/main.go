@@ -27,7 +27,7 @@
 // Usage:
 //
 //	obscheck -trace /tmp/trace.json -manifest /tmp/trace.manifest.json [-bench /tmp/b.json]
-//	obscheck -bench BENCH_PR7.json -allocratio 1.1   # fail allocs_per_op regressions vs baseline
+//	obscheck -bench BENCH_PR7.json -allocratio 1.1   # fail allocs_per_op/bytes_per_op regressions vs baseline
 //	obscheck -apijob /tmp/job.json -apiartifacts /tmp/index.json
 //	obscheck -journal /var/lib/stcd/jobs.wal
 //	obscheck -shard /tmp/shards.json
@@ -72,7 +72,7 @@ func main() {
 	tracePath := flag.String("trace", "", "Chrome trace-event JSON to validate")
 	manifestPath := flag.String("manifest", "", "run-manifest JSON to validate")
 	benchPath := flag.String("bench", "", "benchmark JSON (stdcelltune-bench/1) to validate (optional)")
-	allocRatio := flag.Float64("allocratio", 0, "with -bench: fail any benchmark whose allocs_per_op exceeds this ratio times its recorded baseline_allocs_per_op (0 disables)")
+	allocRatio := flag.Float64("allocratio", 0, "with -bench: fail any benchmark whose allocs_per_op or bytes_per_op exceeds this ratio times its recorded baseline (0 disables)")
 	apiJobPath := flag.String("apijob", "", "stcd job document (stdcelltune-job/1) to validate")
 	apiArtifactsPath := flag.String("apiartifacts", "", "stcd artifact index JSON to validate")
 	journalPath := flag.String("journal", "", "stcd job journal (stdcelltune-journal/1) to validate")
@@ -196,25 +196,35 @@ func main() {
 			fail("%s: no phase timings recorded", *benchPath)
 		}
 		if *allocRatio > 0 {
-			// Allocation-regression gate: allocs/op is deterministic enough
-			// that drifting past ratio x the recorded seed baseline means a
-			// real discipline regression, not noise. Benchmarks without a
-			// baseline (or alloc-free ones) are exempt.
+			// Allocation-regression gate: allocs/op and bytes/op are
+			// deterministic enough that drifting past ratio x the recorded
+			// seed baseline means a real discipline regression, not noise.
+			// Bytes catch what counts miss: a return to string building
+			// or token slices moves bytes far more than allocations.
+			// Metrics without a baseline (or at zero) are exempt.
 			gated, over := 0, 0
 			for _, name := range bf.Names() {
 				r := bf.Benchmarks[name]
-				if r.BaselineAllocsPerOp <= 0 || r.AllocsPerOp <= 0 {
-					continue
-				}
-				gated++
-				if limit := *allocRatio * r.BaselineAllocsPerOp; r.AllocsPerOp > limit {
-					over++
-					fail("%s: %s allocs_per_op %.0f exceeds %.2fx baseline %.0f (limit %.0f)",
-						*benchPath, name, r.AllocsPerOp, *allocRatio, r.BaselineAllocsPerOp, limit)
+				for _, m := range []struct {
+					metric        string
+					cur, baseline float64
+				}{
+					{"allocs_per_op", r.AllocsPerOp, r.BaselineAllocsPerOp},
+					{"bytes_per_op", r.BytesPerOp, r.BaselineBytesPerOp},
+				} {
+					if m.baseline <= 0 || m.cur <= 0 {
+						continue
+					}
+					gated++
+					if limit := *allocRatio * m.baseline; m.cur > limit {
+						over++
+						fail("%s: %s %s %.0f exceeds %.2fx baseline %.0f (limit %.0f)",
+							*benchPath, name, m.metric, m.cur, *allocRatio, m.baseline, limit)
+					}
 				}
 			}
 			if over == 0 {
-				fmt.Printf("obscheck: alloc gate ok: %d/%d benchmarks within %.2fx of baseline\n",
+				fmt.Printf("obscheck: alloc gate ok: %d allocs/bytes metrics of %d benchmarks within %.2fx of baseline\n",
 					gated, len(bf.Benchmarks), *allocRatio)
 			}
 		}

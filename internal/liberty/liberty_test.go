@@ -1,8 +1,12 @@
 package liberty
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -349,6 +353,38 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriterBytesPinned pins the writer's output for the sample library
+// to the sha256 the fmt-based printer it replaced produced, and checks
+// that Write to a file writes exactly the same bytes.
+func TestWriterBytesPinned(t *testing.T) {
+	const want = "36c2acd166c791362c6e5744945eef6783a2343ff2fc3952010fbb80e67d99a1"
+	text, err := WriteString(sampleLibrary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != want {
+		t.Errorf("WriteString sha256 %s, want %s", got, want)
+	}
+	path := filepath.Join(t.TempDir(), "sample.lib")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(f, sampleLibrary()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != text {
+		t.Error("Write to a file differs from WriteString")
 	}
 }
 

@@ -12,170 +12,14 @@ import (
 // this package emits (library/cell/pin/timing groups, lu_table_template,
 // NLDM value tables, LVF sigma tables). Unknown attributes and groups are
 // skipped so libraries with extra content still load.
+//
+// The text is read in one pass: a scanner hands out one token at a
+// time, each group's statements are interpreted as they are read, and
+// number lists are parsed straight from the source into the tables.
+// Within a group the first occurrence of an attribute that carries a
+// value wins.
 func Parse(src string) (*Library, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	g, err := p.parseGroup()
-	if err != nil {
-		return nil, err
-	}
-	if p.pos != len(p.toks) {
-		return nil, fmt.Errorf("liberty: trailing tokens after library group (at %s)", p.toks[p.pos])
-	}
-	if g.kind != "library" {
-		return nil, fmt.Errorf("liberty: top-level group is %q, want library", g.kind)
-	}
-	return interpretLibrary(g)
-}
-
-// ---------------------------------------------------------------- lexer
-
-type tokKind int
-
-const (
-	tokIdent tokKind = iota
-	tokString
-	tokPunct // one of (){};:,
-)
-
-type token struct {
-	kind tokKind
-	text string
-	line int
-}
-
-func (t token) String() string { return fmt.Sprintf("%q (line %d)", t.text, t.line) }
-
-func lex(src string) ([]token, error) {
-	var toks []token
-	line := 1
-	i := 0
-	n := len(src)
-	for i < n {
-		c := src[i]
-		switch {
-		case c == '\n':
-			line++
-			i++
-		case c == ' ' || c == '\t' || c == '\r' || c == '\\':
-			// Backslash only appears as a line continuation; treat as space.
-			i++
-		case c == '/' && i+1 < n && src[i+1] == '*':
-			end := strings.Index(src[i+2:], "*/")
-			if end < 0 {
-				return nil, fmt.Errorf("liberty: unterminated comment at line %d", line)
-			}
-			line += strings.Count(src[i:i+2+end+2], "\n")
-			i += 2 + end + 2
-		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				i++
-			}
-		case c == '"':
-			j := i + 1
-			for j < n && src[j] != '"' {
-				if src[j] == '\n' {
-					line++
-				}
-				j++
-			}
-			if j >= n {
-				return nil, fmt.Errorf("liberty: unterminated string at line %d", line)
-			}
-			toks = append(toks, token{tokString, src[i+1 : j], line})
-			i = j + 1
-		case strings.IndexByte("(){};:,", c) >= 0:
-			toks = append(toks, token{tokPunct, string(c), line})
-			i++
-		default:
-			j := i
-			for j < n && !isDelim(src[j]) {
-				j++
-			}
-			if j == i {
-				return nil, fmt.Errorf("liberty: unexpected character %q at line %d", c, line)
-			}
-			toks = append(toks, token{tokIdent, src[i:j], line})
-			i = j
-		}
-	}
-	return toks, nil
-}
-
-func isDelim(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\\' ||
-		c == '"' || strings.IndexByte("(){};:,", c) >= 0
-}
-
-// ----------------------------------------------------------------- AST
-
-type group struct {
-	kind  string
-	args  []string
-	attrs []attr
-	subs  []*group
-}
-
-type attr struct {
-	name   string
-	values []string // simple attrs have one value; complex attrs several
-}
-
-func (g *group) attrValue(name string) (string, bool) {
-	for _, a := range g.attrs {
-		if a.name == name && len(a.values) > 0 {
-			return a.values[0], true
-		}
-	}
-	return "", false
-}
-
-func (g *group) attrAll(name string) []string {
-	for _, a := range g.attrs {
-		if a.name == name {
-			return a.values
-		}
-	}
-	return nil
-}
-
-type parser struct {
-	toks []token
-	pos  int
-}
-
-func (p *parser) peek() (token, bool) {
-	if p.pos >= len(p.toks) {
-		return token{}, false
-	}
-	return p.toks[p.pos], true
-}
-
-func (p *parser) next() (token, error) {
-	t, ok := p.peek()
-	if !ok {
-		return token{}, fmt.Errorf("liberty: unexpected end of input")
-	}
-	p.pos++
-	return t, nil
-}
-
-func (p *parser) expectPunct(s string) error {
-	t, err := p.next()
-	if err != nil {
-		return err
-	}
-	if t.kind != tokPunct || t.text != s {
-		return fmt.Errorf("liberty: expected %q, got %s", s, t)
-	}
-	return nil
-}
-
-// parseGroup parses: IDENT '(' args ')' '{' body '}'.
-func (p *parser) parseGroup() (*group, error) {
+	p := &parser{scanner: scanner{src: src, line: 1}}
 	t, err := p.next()
 	if err != nil {
 		return nil, err
@@ -183,349 +27,677 @@ func (p *parser) parseGroup() (*group, error) {
 	if t.kind != tokIdent {
 		return nil, fmt.Errorf("liberty: expected group name, got %s", t)
 	}
-	g := &group{kind: t.text}
-	if err := p.expectPunct("("); err != nil {
+	if err := p.expect('('); err != nil {
 		return nil, err
 	}
-	g.args, err = p.parseValueList(")")
+	if err := p.values(')'); err != nil {
+		return nil, err
+	}
+	if err := p.expect('{'); err != nil {
+		return nil, err
+	}
+	if t.text != "library" {
+		return nil, fmt.Errorf("liberty: top-level group is %q, want library", t.text)
+	}
+	l, err := p.library(firstArg(p.vals))
 	if err != nil {
 		return nil, err
 	}
-	if err := p.expectPunct("{"); err != nil {
+	if t, err = p.next(); err != nil {
 		return nil, err
 	}
-	for {
-		t, ok := p.peek()
-		if !ok {
-			return nil, fmt.Errorf("liberty: unterminated group %q", g.kind)
-		}
-		if t.kind == tokPunct && t.text == "}" {
-			p.pos++
-			return g, nil
-		}
-		if err := p.parseStatement(g); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// parseStatement parses one of: sub-group, simple attribute, complex
-// attribute, and appends it to g.
-func (p *parser) parseStatement(g *group) error {
-	name, err := p.next()
-	if err != nil {
-		return err
-	}
-	if name.kind != tokIdent {
-		return fmt.Errorf("liberty: expected statement, got %s", name)
-	}
-	t, ok := p.peek()
-	if !ok {
-		return fmt.Errorf("liberty: dangling identifier %s", name)
-	}
-	switch {
-	case t.kind == tokPunct && t.text == ":":
-		p.pos++
-		vals, err := p.parseValueList(";")
-		if err != nil {
-			return err
-		}
-		g.attrs = append(g.attrs, attr{name: name.text, values: vals})
-		return nil
-	case t.kind == tokPunct && t.text == "(":
-		// Look ahead past the matching ')' to decide group vs complex attr.
-		depth := 0
-		j := p.pos
-		for ; j < len(p.toks); j++ {
-			if p.toks[j].kind != tokPunct {
-				continue
-			}
-			if p.toks[j].text == "(" {
-				depth++
-			} else if p.toks[j].text == ")" {
-				depth--
-				if depth == 0 {
-					break
-				}
-			}
-		}
-		if j >= len(p.toks) {
-			return fmt.Errorf("liberty: unbalanced parentheses after %s", name)
-		}
-		if j+1 < len(p.toks) && p.toks[j+1].kind == tokPunct && p.toks[j+1].text == "{" {
-			p.pos-- // rewind to group name
-			sub, err := p.parseGroup()
-			if err != nil {
-				return err
-			}
-			g.subs = append(g.subs, sub)
-			return nil
-		}
-		p.pos++ // consume '('
-		vals, err := p.parseValueList(")")
-		if err != nil {
-			return err
-		}
-		if err := p.expectPunct(";"); err != nil {
-			return err
-		}
-		g.attrs = append(g.attrs, attr{name: name.text, values: vals})
-		return nil
-	default:
-		return fmt.Errorf("liberty: unexpected token %s after %s", t, name)
-	}
-}
-
-// parseValueList reads comma/space separated idents and strings until the
-// closing punctuation (consumed).
-func (p *parser) parseValueList(closer string) ([]string, error) {
-	var vals []string
-	for {
-		t, err := p.next()
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case t.kind == tokPunct && t.text == closer:
-			return vals, nil
-		case t.kind == tokPunct && t.text == ",":
-			// separator
-		case t.kind == tokIdent || t.kind == tokString:
-			vals = append(vals, t.text)
-		default:
-			return nil, fmt.Errorf("liberty: unexpected %s in value list", t)
-		}
-	}
-}
-
-// --------------------------------------------------------- interpretation
-
-func interpretLibrary(g *group) (*Library, error) {
-	l := &Library{Name: firstArg(g)}
-	if v, ok := g.attrValue("time_unit"); ok {
-		l.TimeUnit = v
-	}
-	if v, ok := g.attrValue("voltage_unit"); ok {
-		l.VoltageUnit = v
-	}
-	if v, ok := g.attrValue("nom_voltage"); ok {
-		l.NominalVoltage, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := g.attrValue("nom_temperature"); ok {
-		l.NominalTemp, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := g.attrValue("nom_process"); ok {
-		l.NominalProcess, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := g.attrValue("default_operating_conditions"); ok {
-		l.OperatingCorner = v
-	}
-	if vs := g.attrAll("capacitive_load_unit"); len(vs) == 2 {
-		l.CapacitiveUnit = vs[0] + vs[1]
-	}
-	for _, sub := range g.subs {
-		switch sub.kind {
-		case "lu_table_template":
-			t, err := interpretTemplate(sub)
-			if err != nil {
-				return nil, err
-			}
-			l.Templates = append(l.Templates, t)
-		case "cell":
-			c, err := interpretCell(sub)
-			if err != nil {
-				return nil, err
-			}
-			l.AddCell(c)
-		}
+	if t.kind != tokEOF {
+		return nil, fmt.Errorf("liberty: trailing tokens after library group (at %s)", t)
 	}
 	return l, nil
 }
 
-func firstArg(g *group) string {
-	if len(g.args) > 0 {
-		return g.args[0]
+// ---------------------------------------------------------------- scanner
+
+type tokKind uint8
+
+const (
+	tokEOF tokKind = iota
+	tokIdent
+	tokString
+	tokPunct // one of (){};:,
+)
+
+type token struct {
+	kind tokKind
+	text string // a slice of the source; a string's text excludes the quotes
+	line int
+}
+
+func (t token) String() string {
+	if t.kind == tokEOF {
+		return fmt.Sprintf("end of input (line %d)", t.line)
+	}
+	return fmt.Sprintf("%q (line %d)", t.text, t.line)
+}
+
+// is reports whether t is the punctuation c.
+func (t token) is(c byte) bool { return t.kind == tokPunct && t.text[0] == c }
+
+// delim marks the bytes that end an identifier.
+var delim = [256]bool{' ': true, '\t': true, '\r': true, '\n': true, '\\': true, '"': true,
+	'(': true, ')': true, '{': true, '}': true, ';': true, ':': true, ',': true}
+
+// scanner tokenizes Liberty text on demand.
+type scanner struct {
+	src  string
+	pos  int
+	line int
+}
+
+// next returns the next token, or a tokEOF token at the end of the
+// input. Comments are recognized at token starts only; a backslash only
+// appears as a line continuation and reads as space.
+func (s *scanner) next() (token, error) {
+	src, n := s.src, len(s.src)
+	for s.pos < n {
+		i := s.pos
+		c := src[i]
+		switch {
+		case c == '\n':
+			s.line++
+			s.pos++
+		case c == ' ' || c == '\t' || c == '\r' || c == '\\':
+			s.pos++
+		case c == '/' && i+1 < n && src[i+1] == '*':
+			end := strings.Index(src[i+2:], "*/")
+			if end < 0 {
+				return token{}, fmt.Errorf("liberty: unterminated comment at line %d", s.line)
+			}
+			s.pos = i + 2 + end + 2
+			s.line += strings.Count(src[i:s.pos], "\n")
+		case c == '/' && i+1 < n && src[i+1] == '/':
+			for s.pos < n && src[s.pos] != '\n' {
+				s.pos++
+			}
+		case c == '"':
+			j := strings.IndexByte(src[i+1:], '"')
+			if j < 0 {
+				s.line += strings.Count(src[i+1:], "\n")
+				return token{}, fmt.Errorf("liberty: unterminated string at line %d", s.line)
+			}
+			j += i + 1
+			s.line += strings.Count(src[i+1:j], "\n")
+			s.pos = j + 1
+			return token{tokString, src[i+1 : j], s.line}, nil
+		case delim[c]: // punctuation: every other delimiter is handled above
+			s.pos++
+			return token{tokPunct, src[i:s.pos], s.line}, nil
+		default:
+			j := i + 1
+			for j < n && !delim[src[j]] {
+				j++
+			}
+			s.pos = j
+			return token{tokIdent, src[i:j], s.line}, nil
+		}
+	}
+	return token{kind: tokEOF, line: s.line}, nil
+}
+
+// ----------------------------------------------------------------- parser
+
+type parser struct {
+	scanner
+	// Scratch reused across statements and tables.
+	vals         []string // values (or group arguments) of the last statement
+	rows         []string // value rows of the table being parsed
+	loads, slews []float64
+}
+
+func (p *parser) expect(c byte) error {
+	t, err := p.next()
+	if err != nil {
+		return err
+	}
+	if !t.is(c) {
+		return fmt.Errorf("liberty: expected %q, got %s", string(c), t)
+	}
+	return nil
+}
+
+// values reads comma/space separated identifiers and strings into
+// p.vals up to the closing punctuation (consumed).
+func (p *parser) values(closer byte) error {
+	p.vals = p.vals[:0]
+	for {
+		t, err := p.next()
+		if err != nil {
+			return err
+		}
+		switch {
+		case t.kind == tokEOF:
+			return fmt.Errorf("liberty: unexpected end of input")
+		case t.is(closer):
+			return nil
+		case t.is(','):
+			// separator
+		case t.kind == tokIdent || t.kind == tokString:
+			p.vals = append(p.vals, t.text)
+		default:
+			return fmt.Errorf("liberty: unexpected %s in value list", t)
+		}
+	}
+}
+
+type stmtKind uint8
+
+const (
+	stmtEnd   stmtKind = iota // the group's closing '}'
+	stmtAttr                  // name : values ;  or  name (values) ;
+	stmtGroup                 // name (args) {  — the group's body follows
+)
+
+// statement reads the next statement of the body of group kind and
+// returns what it was and its name; p.vals holds the attribute's values
+// or the group's arguments until the next statement is read.
+func (p *parser) statement(kind string) (stmtKind, string, error) {
+	t, err := p.next()
+	if err != nil {
+		return 0, "", err
+	}
+	switch {
+	case t.kind == tokEOF:
+		return 0, "", fmt.Errorf("liberty: unterminated group %q", kind)
+	case t.is('}'):
+		return stmtEnd, "", nil
+	case t.kind != tokIdent:
+		return 0, "", fmt.Errorf("liberty: expected statement, got %s", t)
+	}
+	name := t
+	if t, err = p.next(); err != nil {
+		return 0, "", err
+	}
+	switch {
+	case t.kind == tokEOF:
+		return 0, "", fmt.Errorf("liberty: dangling identifier %s", name)
+	case t.is(':'):
+		return stmtAttr, name.text, p.values(';')
+	case t.is('('):
+		if err := p.values(')'); err != nil {
+			return 0, "", err
+		}
+		if t, err = p.next(); err != nil {
+			return 0, "", err
+		}
+		if t.is('{') {
+			return stmtGroup, name.text, nil
+		}
+		if !t.is(';') {
+			return 0, "", fmt.Errorf("liberty: expected \";\", got %s", t)
+		}
+		return stmtAttr, name.text, nil
+	default:
+		return 0, "", fmt.Errorf("liberty: unexpected token %s after %s", t, name)
+	}
+}
+
+// skip reads and discards the body of a group this package does not
+// interpret; it must still be well-formed.
+func (p *parser) skip(kind string) error {
+	for {
+		k, name, err := p.statement(kind)
+		if err != nil {
+			return err
+		}
+		switch k {
+		case stmtEnd:
+			return nil
+		case stmtGroup:
+			if err := p.skip(name); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+func firstArg(vals []string) string {
+	if len(vals) > 0 {
+		return vals[0]
 	}
 	return ""
 }
 
-func interpretTemplate(g *group) (*Template, error) {
-	t := &Template{Name: firstArg(g)}
-	t.Variable1, _ = g.attrValue("variable_1")
-	t.Variable2, _ = g.attrValue("variable_2")
-	var err error
-	if v, ok := g.attrValue("index_1"); ok {
-		if t.Index1, err = parseFloats(v); err != nil {
-			return nil, fmt.Errorf("template %q index_1: %w", t.Name, err)
-		}
+// value returns the first value of the last attribute, and false when it
+// has none (such an attribute is passed over, as if absent).
+func (p *parser) value() (string, bool) {
+	if len(p.vals) == 0 {
+		return "", false
 	}
-	if v, ok := g.attrValue("index_2"); ok {
-		if t.Index2, err = parseFloats(v); err != nil {
-			return nil, fmt.Errorf("template %q index_2: %w", t.Name, err)
-		}
-	}
-	return t, nil
+	return p.vals[0], true
 }
 
-func parseFloats(s string) ([]float64, error) {
-	fields := strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' || r == '\n' })
-	out := make([]float64, 0, len(fields))
-	for _, f := range fields {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float %q", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+// take marks an attribute as read and reports whether it had not been:
+// the first occurrence wins.
+func take(seen *bool) bool {
+	first := !*seen
+	*seen = true
+	return first
 }
 
-func interpretCell(g *group) (*Cell, error) {
-	c := &Cell{Name: firstArg(g)}
-	if v, ok := g.attrValue("area"); ok {
-		c.Area, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := g.attrValue("drive_strength"); ok {
-		c.DriveStrength, _ = strconv.Atoi(v)
-	}
-	if v, ok := g.attrValue("cell_footprint"); ok {
-		c.Footprint = v
-	}
-	if v, ok := g.attrValue("is_sequential"); ok {
-		c.IsSequential = v == "true"
-	}
-	if v, ok := g.attrValue("cell_leakage_power"); ok {
-		c.LeakagePower, _ = strconv.ParseFloat(v, 64)
-	}
-	for _, sub := range g.subs {
-		if sub.kind != "pin" {
-			continue
-		}
-		p, err := interpretPin(sub)
-		if err != nil {
-			return nil, fmt.Errorf("cell %q: %w", c.Name, err)
-		}
-		c.Pins = append(c.Pins, p)
-	}
-	return c, nil
-}
+// --------------------------------------------------------- interpretation
 
-func interpretPin(g *group) (*Pin, error) {
-	p := &Pin{Name: firstArg(g)}
-	if v, ok := g.attrValue("direction"); ok && v == "output" {
-		p.Direction = Output
-	}
-	if v, ok := g.attrValue("capacitance"); ok {
-		p.Capacitance, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := g.attrValue("max_capacitance"); ok {
-		p.MaxCap, _ = strconv.ParseFloat(v, 64)
-	}
-	if v, ok := g.attrValue("function"); ok {
-		p.Function = v
-	}
-	for _, sub := range g.subs {
-		switch sub.kind {
-		case "timing":
-			a, err := interpretArc(sub)
-			if err != nil {
-				return nil, fmt.Errorf("pin %q: %w", p.Name, err)
-			}
-			p.Timing = append(p.Timing, a)
-		case "internal_power":
-			a, err := interpretPowerArc(sub)
-			if err != nil {
-				return nil, fmt.Errorf("pin %q: %w", p.Name, err)
-			}
-			p.Power = append(p.Power, a)
-		}
-	}
-	return p, nil
-}
-
-func interpretPowerArc(g *group) (*PowerArc, error) {
-	a := &PowerArc{}
-	a.RelatedPin, _ = g.attrValue("related_pin")
-	for _, sub := range g.subs {
-		tb, err := interpretTable(sub)
-		if err != nil {
-			return nil, fmt.Errorf("power arc from %q: %w", a.RelatedPin, err)
-		}
-		if a.Template == "" {
-			a.Template = firstArg(sub)
-		}
-		switch sub.kind {
-		case "rise_power":
-			a.RisePower = tb
-		case "fall_power":
-			a.FallPower = tb
-		}
-	}
-	return a, nil
-}
-
-func interpretArc(g *group) (*TimingArc, error) {
-	a := &TimingArc{}
-	a.RelatedPin, _ = g.attrValue("related_pin")
-	a.Sense, _ = g.attrValue("timing_sense")
-	a.Type, _ = g.attrValue("timing_type")
-	for _, sub := range g.subs {
-		tb, err := interpretTable(sub)
-		if err != nil {
-			return nil, fmt.Errorf("arc from %q: %w", a.RelatedPin, err)
-		}
-		if a.Template == "" {
-			a.Template = firstArg(sub)
-		}
-		switch sub.kind {
-		case "cell_rise":
-			a.CellRise = tb
-		case "cell_fall":
-			a.CellFall = tb
-		case "rise_transition":
-			a.RiseTransition = tb
-		case "fall_transition":
-			a.FallTransition = tb
-		case "ocv_sigma_cell_rise":
-			a.SigmaRise = tb
-		case "ocv_sigma_cell_fall":
-			a.SigmaFall = tb
-		}
-	}
-	return a, nil
-}
-
-func interpretTable(g *group) (*lut.Table, error) {
-	i1, ok := g.attrValue("index_1")
-	if !ok {
-		return nil, fmt.Errorf("table %q missing index_1", g.kind)
-	}
-	i2, ok := g.attrValue("index_2")
-	if !ok {
-		return nil, fmt.Errorf("table %q missing index_2", g.kind)
-	}
-	loads, err := parseFloats(i1)
-	if err != nil {
-		return nil, err
-	}
-	slews, err := parseFloats(i2)
-	if err != nil {
-		return nil, err
-	}
-	rows := g.attrAll("values")
-	if len(rows) != len(loads) {
-		return nil, fmt.Errorf("table %q has %d value rows for %d loads", g.kind, len(rows), len(loads))
-	}
-	t := lut.New(loads, slews)
-	for i, r := range rows {
-		vals, err := parseFloats(r)
+func (p *parser) library(name string) (*Library, error) {
+	l := &Library{Name: name}
+	var timeUnit, voltageUnit, nomV, nomT, nomP, corner, capUnit bool
+	for {
+		k, name, err := p.statement("library")
 		if err != nil {
 			return nil, err
 		}
-		if len(vals) != len(slews) {
-			return nil, fmt.Errorf("table %q row %d has %d values for %d slews", g.kind, i, len(vals), len(slews))
+		switch k {
+		case stmtEnd:
+			return l, nil
+		case stmtGroup:
+			switch name {
+			case "lu_table_template":
+				t, err := p.template(firstArg(p.vals))
+				if err != nil {
+					return nil, err
+				}
+				l.Templates = append(l.Templates, t)
+			case "cell":
+				c, err := p.cell(firstArg(p.vals))
+				if err != nil {
+					return nil, err
+				}
+				l.AddCell(c)
+			default:
+				if err := p.skip(name); err != nil {
+					return nil, err
+				}
+			}
+		case stmtAttr:
+			if name == "capacitive_load_unit" {
+				// Complex attribute: its first occurrence counts, with or
+				// without values.
+				if take(&capUnit) && len(p.vals) == 2 {
+					l.CapacitiveUnit = p.vals[0] + p.vals[1]
+				}
+				continue
+			}
+			v, ok := p.value()
+			if !ok {
+				continue
+			}
+			switch name {
+			case "time_unit":
+				if take(&timeUnit) {
+					l.TimeUnit = v
+				}
+			case "voltage_unit":
+				if take(&voltageUnit) {
+					l.VoltageUnit = v
+				}
+			case "nom_voltage":
+				if take(&nomV) {
+					l.NominalVoltage, _ = strconv.ParseFloat(v, 64)
+				}
+			case "nom_temperature":
+				if take(&nomT) {
+					l.NominalTemp, _ = strconv.ParseFloat(v, 64)
+				}
+			case "nom_process":
+				if take(&nomP) {
+					l.NominalProcess, _ = strconv.ParseFloat(v, 64)
+				}
+			case "default_operating_conditions":
+				if take(&corner) {
+					l.OperatingCorner = v
+				}
+			}
 		}
-		copy(t.Values[i], vals)
+	}
+}
+
+func (p *parser) template(name string) (*Template, error) {
+	t := &Template{Name: name}
+	var v1, v2, i1, i2 bool
+	for {
+		k, name, err := p.statement("lu_table_template")
+		if err != nil {
+			return nil, err
+		}
+		switch k {
+		case stmtEnd:
+			return t, nil
+		case stmtGroup:
+			if err := p.skip(name); err != nil {
+				return nil, err
+			}
+		case stmtAttr:
+			v, ok := p.value()
+			if !ok {
+				continue
+			}
+			switch name {
+			case "variable_1":
+				if take(&v1) {
+					t.Variable1 = v
+				}
+			case "variable_2":
+				if take(&v2) {
+					t.Variable2 = v
+				}
+			case "index_1":
+				if take(&i1) {
+					if t.Index1, err = appendFloats([]float64{}, v); err != nil {
+						return nil, fmt.Errorf("template %q index_1: %w", t.Name, err)
+					}
+				}
+			case "index_2":
+				if take(&i2) {
+					if t.Index2, err = appendFloats([]float64{}, v); err != nil {
+						return nil, fmt.Errorf("template %q index_2: %w", t.Name, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// sep marks the bytes that separate the numbers of a list.
+var sep = [256]bool{',': true, ' ': true, '\t': true, '\n': true}
+
+// appendFloats parses a comma/space separated number list onto dst.
+func appendFloats(dst []float64, s string) ([]float64, error) {
+	for i := 0; i < len(s); {
+		if sep[s[i]] {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(s) && !sep[s[j]] {
+			j++
+		}
+		v, err := strconv.ParseFloat(s[i:j], 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad float %q", s[i:j])
+		}
+		dst = append(dst, v)
+		i = j
+	}
+	return dst, nil
+}
+
+func (p *parser) cell(name string) (*Cell, error) {
+	c := &Cell{Name: name}
+	var area, drive, footprint, seq, leakage bool
+	for {
+		k, name, err := p.statement("cell")
+		if err != nil {
+			return nil, err
+		}
+		switch k {
+		case stmtEnd:
+			return c, nil
+		case stmtGroup:
+			if name != "pin" {
+				if err := p.skip(name); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			pin, err := p.pin(firstArg(p.vals))
+			if err != nil {
+				return nil, fmt.Errorf("cell %q: %w", c.Name, err)
+			}
+			c.Pins = append(c.Pins, pin)
+		case stmtAttr:
+			v, ok := p.value()
+			if !ok {
+				continue
+			}
+			switch name {
+			case "area":
+				if take(&area) {
+					c.Area, _ = strconv.ParseFloat(v, 64)
+				}
+			case "drive_strength":
+				if take(&drive) {
+					c.DriveStrength, _ = strconv.Atoi(v)
+				}
+			case "cell_footprint":
+				if take(&footprint) {
+					c.Footprint = v
+				}
+			case "is_sequential":
+				if take(&seq) {
+					c.IsSequential = v == "true"
+				}
+			case "cell_leakage_power":
+				if take(&leakage) {
+					c.LeakagePower, _ = strconv.ParseFloat(v, 64)
+				}
+			}
+		}
+	}
+}
+
+func (p *parser) pin(name string) (*Pin, error) {
+	pin := &Pin{Name: name}
+	var dir, capacitance, maxCap, function bool
+	for {
+		k, name, err := p.statement("pin")
+		if err != nil {
+			return nil, err
+		}
+		switch k {
+		case stmtEnd:
+			return pin, nil
+		case stmtGroup:
+			switch name {
+			case "timing":
+				a, err := p.arc()
+				if err != nil {
+					return nil, fmt.Errorf("pin %q: %w", pin.Name, err)
+				}
+				pin.Timing = append(pin.Timing, a)
+			case "internal_power":
+				a, err := p.powerArc()
+				if err != nil {
+					return nil, fmt.Errorf("pin %q: %w", pin.Name, err)
+				}
+				pin.Power = append(pin.Power, a)
+			default:
+				if err := p.skip(name); err != nil {
+					return nil, err
+				}
+			}
+		case stmtAttr:
+			v, ok := p.value()
+			if !ok {
+				continue
+			}
+			switch name {
+			case "direction":
+				if take(&dir) && v == "output" {
+					pin.Direction = Output
+				}
+			case "capacitance":
+				if take(&capacitance) {
+					pin.Capacitance, _ = strconv.ParseFloat(v, 64)
+				}
+			case "max_capacitance":
+				if take(&maxCap) {
+					pin.MaxCap, _ = strconv.ParseFloat(v, 64)
+				}
+			case "function":
+				if take(&function) {
+					pin.Function = v
+				}
+			}
+		}
+	}
+}
+
+// arc parses a timing group. Every sub-group is a value table; the
+// arc's template is the first non-empty table template argument.
+func (p *parser) arc() (*TimingArc, error) {
+	a := &TimingArc{}
+	var related, sense, typ bool
+	for {
+		k, name, err := p.statement("timing")
+		if err != nil {
+			return nil, err
+		}
+		switch k {
+		case stmtEnd:
+			return a, nil
+		case stmtGroup:
+			template := firstArg(p.vals)
+			tb, err := p.table(name)
+			if err != nil {
+				return nil, fmt.Errorf("arc from %q: %w", a.RelatedPin, err)
+			}
+			if a.Template == "" {
+				a.Template = template
+			}
+			switch name {
+			case "cell_rise":
+				a.CellRise = tb
+			case "cell_fall":
+				a.CellFall = tb
+			case "rise_transition":
+				a.RiseTransition = tb
+			case "fall_transition":
+				a.FallTransition = tb
+			case "ocv_sigma_cell_rise":
+				a.SigmaRise = tb
+			case "ocv_sigma_cell_fall":
+				a.SigmaFall = tb
+			}
+		case stmtAttr:
+			v, ok := p.value()
+			if !ok {
+				continue
+			}
+			switch name {
+			case "related_pin":
+				if take(&related) {
+					a.RelatedPin = v
+				}
+			case "timing_sense":
+				if take(&sense) {
+					a.Sense = v
+				}
+			case "timing_type":
+				if take(&typ) {
+					a.Type = v
+				}
+			}
+		}
+	}
+}
+
+// powerArc parses an internal_power group; like a timing group, every
+// sub-group is a value table.
+func (p *parser) powerArc() (*PowerArc, error) {
+	a := &PowerArc{}
+	var related bool
+	for {
+		k, name, err := p.statement("internal_power")
+		if err != nil {
+			return nil, err
+		}
+		switch k {
+		case stmtEnd:
+			return a, nil
+		case stmtGroup:
+			template := firstArg(p.vals)
+			tb, err := p.table(name)
+			if err != nil {
+				return nil, fmt.Errorf("power arc from %q: %w", a.RelatedPin, err)
+			}
+			if a.Template == "" {
+				a.Template = template
+			}
+			switch name {
+			case "rise_power":
+				a.RisePower = tb
+			case "fall_power":
+				a.FallPower = tb
+			}
+		case stmtAttr:
+			if v, ok := p.value(); ok && name == "related_pin" && take(&related) {
+				a.RelatedPin = v
+			}
+		}
+	}
+}
+
+// table parses a value-table group. index_1, index_2 and values may
+// come in any order, so the row strings (slices of the source) are held
+// until the group closes; then each row is parsed straight into the
+// table's row-major storage.
+func (p *parser) table(kind string) (*lut.Table, error) {
+	var index1, index2 string
+	var seen1, seen2, values bool
+	p.rows = p.rows[:0]
+	for {
+		k, name, err := p.statement(kind)
+		if err != nil {
+			return nil, err
+		}
+		if k == stmtEnd {
+			break
+		}
+		if k == stmtGroup {
+			if err := p.skip(name); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		switch name {
+		case "values":
+			// The first values attribute counts, with or without rows.
+			if take(&values) {
+				p.rows = append(p.rows, p.vals...)
+			}
+		case "index_1":
+			if v, ok := p.value(); ok && take(&seen1) {
+				index1 = v
+			}
+		case "index_2":
+			if v, ok := p.value(); ok && take(&seen2) {
+				index2 = v
+			}
+		}
+	}
+	if !seen1 {
+		return nil, fmt.Errorf("table %q missing index_1", kind)
+	}
+	if !seen2 {
+		return nil, fmt.Errorf("table %q missing index_2", kind)
+	}
+	loads, err := appendFloats(p.loads[:0], index1)
+	if err != nil {
+		return nil, err
+	}
+	slews, err := appendFloats(p.slews[:0], index2)
+	if err != nil {
+		return nil, err
+	}
+	p.loads, p.slews = loads, slews // scratch: lut.New copies the axes
+	if len(p.rows) != len(loads) {
+		return nil, fmt.Errorf("table %q has %d value rows for %d loads", kind, len(p.rows), len(loads))
+	}
+	t := lut.New(loads, slews)
+	for i, r := range p.rows {
+		// A row has capacity for exactly len(slews) values, so a long
+		// row reallocates instead of spilling into the next one.
+		row, err := appendFloats(t.Values[i][:0], r)
+		if err != nil {
+			return nil, err
+		}
+		if len(row) != len(slews) {
+			return nil, fmt.Errorf("table %q row %d has %d values for %d slews", kind, i, len(row), len(slews))
+		}
 	}
 	return t, nil
 }

@@ -11,7 +11,7 @@ var cat = stdcell.NewCatalogue(stdcell.Typical)
 
 // buildXorViaNandInv builds y = a ^ b as XNR2 + INV plus a registered
 // copy, exercising instances, nets, outputs and a flip-flop.
-func buildXorViaNandInv(t *testing.T) *Netlist {
+func buildXorViaNandInv(t testing.TB) *Netlist {
 	t.Helper()
 	nl := New("txor", cat)
 	a := nl.AddInput("a")
@@ -321,6 +321,49 @@ func TestParseVerilogErrors(t *testing.T) {
 		if _, err := ParseVerilog(src, cat); err == nil {
 			t.Errorf("accepted %q", src)
 		}
+	}
+}
+
+// TestWriteVerilogRefusesWhitespaceNames: an escaped identifier ends at
+// whitespace, so a net, instance or port name with a space, tab or
+// newline would read back as a different netlist. The writer must
+// refuse it rather than emit such text.
+func TestWriteVerilogRefusesWhitespaceNames(t *testing.T) {
+	for _, name := range []string{"a b", "a\tb", "a\nb", " "} {
+		for _, where := range []string{"net", "instance", "output", "module"} {
+			nl := buildXorViaNandInv(t)
+			switch where {
+			case "net":
+				nl.Nets[len(nl.Nets)-1].Name = name
+			case "instance":
+				nl.Instances[0].Name = name
+			case "output":
+				nl.MarkOutput(name, nl.Nets[0])
+			case "module":
+				nl.Name = name
+			}
+			var sb strings.Builder
+			err := WriteVerilog(&sb, nl)
+			if err == nil {
+				t.Errorf("%s named %q written:\n%s", where, name, sb.String())
+			} else if sb.Len() != 0 {
+				t.Errorf("%s named %q: error %v, but %d bytes written", where, name, err, sb.Len())
+			}
+		}
+	}
+	// Names that need escaping but hold no whitespace still round-trip.
+	nl := escapedNetlist()
+	nl.Nets[0].Name = "a\rb"
+	var sb strings.Builder
+	if err := WriteVerilog(&sb, nl); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseVerilog(sb.String(), cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.PrimaryInputs()[0].Name; got != "a\rb" {
+		t.Errorf("escaped name read back as %q", got)
 	}
 }
 

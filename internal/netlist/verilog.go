@@ -3,7 +3,7 @@ package netlist
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"stdcelltune/internal/stdcell"
@@ -12,7 +12,10 @@ import (
 // WriteVerilog serializes the netlist as a flat structural Verilog
 // module: one wire per net, one cell instantiation per instance with
 // named port connections. Bus-style port names like "instr[3]" are
-// escaped Verilog identifiers.
+// escaped Verilog identifiers. An escaped identifier ends at whitespace,
+// so a name containing a space, tab or newline cannot be written: it
+// would read back as a different netlist. WriteVerilog returns an error
+// for such a name and writes nothing.
 func WriteVerilog(w io.Writer, nl *Netlist) error {
 	var inputs, outputs []string
 	for _, n := range nl.Nets {
@@ -23,143 +26,151 @@ func WriteVerilog(w io.Writer, nl *Netlist) error {
 	for _, s := range nl.PrimaryOutputs() {
 		outputs = append(outputs, s.Pin)
 	}
-	sort.Strings(inputs)
-	sort.Strings(outputs)
+	slices.Sort(inputs)
+	slices.Sort(outputs)
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "module %s (\n", escape(nl.Name))
+	var v vwriter
+	v.put("module ", nl.Name, " (\n")
 	for _, in := range inputs {
-		fmt.Fprintf(&b, "  input %s,\n", escape(in))
+		v.put("  input ", in, ",\n")
 	}
 	for i, out := range outputs {
-		comma := ","
-		if i == len(outputs)-1 {
-			comma = ""
+		if i < len(outputs)-1 {
+			v.put("  output ", out, ",\n")
+		} else {
+			v.put("  output ", out, "\n")
 		}
-		fmt.Fprintf(&b, "  output %s%s\n", escape(out), comma)
 	}
-	b.WriteString(");\n")
+	v.b = append(v.b, ");\n"...)
 	for _, n := range nl.Nets {
 		if !n.PrimaryIn {
-			fmt.Fprintf(&b, "  wire %s;\n", escape(n.Name))
+			v.put("  wire ", n.Name, ";\n")
 		}
 	}
+	var pins []string // one scratch slice, refilled per instance
 	for _, inst := range nl.Instances {
-		var conns []string
-		pins := make([]string, 0, len(inst.In)+len(inst.Out))
+		pins = pins[:0]
 		for p := range inst.In {
 			pins = append(pins, p)
 		}
 		for p := range inst.Out {
 			pins = append(pins, p)
 		}
-		sort.Strings(pins)
-		for _, p := range pins {
+		slices.Sort(pins)
+		v.b = append(append(v.b, "  "...), inst.Spec.Name...)
+		v.put(" ", inst.Name, " (")
+		for i, p := range pins {
 			n := inst.In[p]
 			if n == nil {
 				n = inst.Out[p]
 			}
-			conns = append(conns, fmt.Sprintf(".%s(%s)", p, escape(n.Name)))
+			if i > 0 {
+				v.b = append(v.b, ", "...)
+			}
+			v.b = append(append(v.b, '.'), p...)
+			v.put("(", n.Name, ")")
 		}
-		fmt.Fprintf(&b, "  %s %s (%s);\n", inst.Spec.Name, escape(inst.Name), strings.Join(conns, ", "))
+		v.b = append(v.b, ");\n"...)
 	}
 	// Primary output assigns.
 	for _, n := range nl.Nets {
 		for _, s := range n.Sinks {
 			if s.Inst == nil && s.Pin != n.Name {
-				fmt.Fprintf(&b, "  assign %s = %s;\n", escape(s.Pin), escape(n.Name))
+				v.put("  assign ", s.Pin, " = ")
+				v.put("", n.Name, ";\n")
 			}
 		}
 	}
-	b.WriteString("endmodule\n")
-	_, err := io.WriteString(w, b.String())
+	v.b = append(v.b, "endmodule\n"...)
+	if v.err != nil {
+		return v.err
+	}
+	_, err := w.Write(v.b)
 	return err
 }
 
-// escape renders a name as a Verilog identifier, using escaped-identifier
-// syntax when it contains characters like '[' that plain identifiers
-// disallow.
-func escape(name string) string {
-	plain := true
-	for i := 0; i < len(name); i++ {
+// vwriter appends Verilog text to b; err records the first name that
+// cannot be written.
+type vwriter struct {
+	b   []byte
+	err error
+}
+
+// put appends prefix, name as a Verilog identifier, then suffix. A name
+// that plain identifiers disallow (a character like '[', or a leading
+// digit) is written as an escaped identifier: backslash ... space.
+func (v *vwriter) put(prefix, name, suffix string) {
+	v.b = append(v.b, prefix...)
+	plain := len(name) > 0 && !(name[0] >= '0' && name[0] <= '9')
+	for i := 0; plain && i < len(name); i++ {
 		c := name[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '$') {
-			plain = false
-			break
+		plain = c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '$'
+	}
+	if plain {
+		v.b = append(v.b, name...)
+	} else {
+		if v.err == nil && strings.ContainsAny(name, " \t\n") {
+			v.err = fmt.Errorf("verilog: name %q contains whitespace and cannot be written as an escaped identifier", name)
 		}
+		v.b = append(append(append(v.b, '\\'), name...), ' ')
 	}
-	if plain && len(name) > 0 && !(name[0] >= '0' && name[0] <= '9') {
-		return name
-	}
-	return "\\" + name + " " // escaped identifier: backslash..space
+	v.b = append(v.b, suffix...)
 }
 
 // ParseVerilog reads a flat structural module written by WriteVerilog
-// back into a netlist over the given catalogue.
+// back into a netlist over the given catalogue. Tokens are read on
+// demand, straight from src.
 func ParseVerilog(src string, cat *stdcell.Catalogue) (*Netlist, error) {
-	toks, err := vlex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &vparser{toks: toks, cat: cat}
+	p := &vparser{src: src, cat: cat}
 	return p.parseModule()
 }
 
-func vlex(src string) ([]string, error) {
-	var toks []string
-	i := 0
-	for i < len(src) {
+// vdelim marks the bytes that end a plain identifier.
+var vdelim = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '\\': true,
+	'(': true, ')': true, ',': true, '.': true, ';': true, '=': true}
+
+type vparser struct {
+	src string
+	pos int
+	cat *stdcell.Catalogue
+}
+
+// next returns the next token: one punctuation byte, a plain
+// identifier, or the name of an escaped identifier, which runs from the
+// backslash to the next space, tab or newline. Tokens are compared as
+// text, so an escaped "(" reads like the punctuation.
+func (p *vparser) next() (string, error) {
+	src, n := p.src, len(p.src)
+	for p.pos < n {
+		i := p.pos
 		c := src[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c == '/' && i+1 < len(src) && src[i+1] == '/':
-			for i < len(src) && src[i] != '\n' {
-				i++
+			p.pos++
+		case c == '/' && i+1 < n && src[i+1] == '/':
+			for p.pos < n && src[p.pos] != '\n' {
+				p.pos++
 			}
-		case c == '\\': // escaped identifier, ends at whitespace
+		case c == '\\':
 			j := i + 1
-			for j < len(src) && src[j] != ' ' && src[j] != '\t' && src[j] != '\n' {
+			for j < n && src[j] != ' ' && src[j] != '\t' && src[j] != '\n' {
 				j++
 			}
-			toks = append(toks, src[i+1:j])
-			i = j
-		case strings.IndexByte("(),.;=", c) >= 0:
-			toks = append(toks, string(c))
-			i++
+			p.pos = j
+			return src[i+1 : j], nil
+		case vdelim[c]: // punctuation: every other delimiter is handled above
+			p.pos++
+			return src[i:p.pos], nil
 		default:
-			j := i
-			for j < len(src) && !isVDelim(src[j]) {
+			j := i + 1
+			for j < n && !vdelim[src[j]] {
 				j++
 			}
-			if j == i {
-				return nil, fmt.Errorf("verilog: unexpected byte %q", c)
-			}
-			toks = append(toks, src[i:j])
-			i = j
+			p.pos = j
+			return src[i:j], nil
 		}
 	}
-	return toks, nil
-}
-
-func isVDelim(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\\' ||
-		strings.IndexByte("(),.;=", c) >= 0
-}
-
-type vparser struct {
-	toks []string
-	pos  int
-	cat  *stdcell.Catalogue
-}
-
-func (p *vparser) next() (string, error) {
-	if p.pos >= len(p.toks) {
-		return "", fmt.Errorf("verilog: unexpected end of input")
-	}
-	t := p.toks[p.pos]
-	p.pos++
-	return t, nil
+	return "", fmt.Errorf("verilog: unexpected end of input")
 }
 
 func (p *vparser) expect(s string) error {
@@ -279,10 +290,6 @@ func (p *vparser) parseModule() (*Netlist, error) {
 			if err := p.expect("("); err != nil {
 				return nil, err
 			}
-			outPins := make(map[string]bool, len(spec.Outputs))
-			for _, o := range spec.Outputs {
-				outPins[o] = true
-			}
 			for {
 				t, err := p.next()
 				if err != nil {
@@ -312,7 +319,7 @@ func (p *vparser) parseModule() (*Netlist, error) {
 					return nil, err
 				}
 				n := getNet(netName)
-				if outPins[pin] {
+				if slices.Contains(spec.Outputs, pin) {
 					nl.Drive(inst, pin, n)
 				} else {
 					nl.Connect(inst, pin, n)

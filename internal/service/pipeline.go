@@ -118,6 +118,16 @@ func (p *Pipeline) Run(ctx context.Context, spec Spec) (map[string][]byte, error
 		return nil, fmt.Errorf("characterize: %w", err)
 	}
 
+	// The statistical library is final once characterize returns: tune,
+	// synthesize and analyze-variation only read it, and synthesis runs
+	// on one core. So its Liberty text renders now, on the core the
+	// later stages leave idle, and encodeArtifacts joins it. If a later
+	// stage fails the text is dropped; the channel is buffered, so the
+	// render never blocks. It gets no service span: the job's stage
+	// spans must not overlap, or the trace would count time twice.
+	statLib := make(chan []byte, 1)
+	go func() { statLib <- liberty.Append(nil, stat.ToLiberty()) }()
+
 	method, _ := methodFromSlug(spec.Method)
 	span := tr.Start("tune", "service", "method", spec.Method, "bound", spec.Bound)
 	win, rep, err := stdcelltune.TuneCtx(ctx, stat, stdcelltune.TuneOptions{Method: method, Bound: spec.Bound})
@@ -149,7 +159,7 @@ func (p *Pipeline) Run(ctx context.Context, spec Spec) (map[string][]byte, error
 		return nil, fmt.Errorf("analyze variation: %w", err)
 	}
 
-	return encodeArtifacts(spec, stat, win, rep, res, ds)
+	return encodeArtifacts(spec, <-statLib, win, rep, res, ds)
 }
 
 // characterize runs the Monte-Carlo characterization stage, picking the
@@ -319,11 +329,12 @@ type variationDoc struct {
 	DegradedCells     map[string]int `json:"degraded_cells,omitempty"`
 }
 
-// encodeArtifacts renders the pipeline outputs into the artifact set.
+// encodeArtifacts renders the pipeline outputs into the artifact set;
+// statLib is the statistical library's Liberty text, already rendered.
 // Every encoder is deterministic: fixed field order, sorted slices, and
 // Go's stable float formatting, so the cache's byte-identity invariant
 // holds across runs.
-func encodeArtifacts(spec Spec, stat *stdcelltune.StatisticalLibrary, win *stdcelltune.Windows,
+func encodeArtifacts(spec Spec, statLib []byte, win *stdcelltune.Windows,
 	rep *stdcelltune.TuningReport, res *stdcelltune.SynthesisResult, ds *stdcelltune.DesignStats) (map[string][]byte, error) {
 
 	out := make(map[string][]byte, 7)
@@ -344,11 +355,7 @@ func encodeArtifacts(spec Spec, stat *stdcelltune.StatisticalLibrary, win *stdce
 		return nil, err
 	}
 
-	libText, err := stdcelltune.WriteLiberty(stat.ToLiberty())
-	if err != nil {
-		return nil, fmt.Errorf("encode %s: %w", ArtifactStatLib, err)
-	}
-	out[ArtifactStatLib] = []byte(libText)
+	out[ArtifactStatLib] = statLib
 
 	wd := windowsDoc{Schema: SchemaWindows, Name: win.Name}
 	for _, k := range win.Keys() {

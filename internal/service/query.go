@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"stdcelltune/internal/liberty"
 	"stdcelltune/internal/netlist"
+	"stdcelltune/internal/obs"
 	"stdcelltune/internal/query"
 	"stdcelltune/internal/restrict"
 	"stdcelltune/internal/service/cache"
@@ -35,6 +37,16 @@ const ArtifactQueryResult = "result.json"
 // not cache size. Eviction is FIFO — the workload is "analyst pounds
 // one or two libraries", not a scan.
 const queryStoreCacheSize = 4
+
+// Query-store builds in the process-default registry, named after the
+// benchmark ledger's layer: query.store_builds counts builds (a
+// rebuild after FIFO eviction counts again; a request that joined an
+// in-flight build does not), and query.store_build is their latency,
+// whose summary reads as query.store_build_ms percentiles.
+var (
+	storeBuilds    = obs.Default().Counter("query.store_builds")
+	storeBuildTime = obs.Default().HDR("query.store_build")
+)
 
 // queryStores is the manager's bounded digest→store cache.
 type queryStores struct {
@@ -74,7 +86,10 @@ func (qs *queryStores) get(dig string, build func() (*query.Store, error)) (*que
 	qs.building[dig] = fl
 	qs.mu.Unlock()
 
+	storeBuilds.Add(1)
+	start := time.Now()
 	fl.store, fl.err = build()
+	storeBuildTime.Observe(time.Since(start))
 
 	qs.mu.Lock()
 	if fl.err == nil {

@@ -15,10 +15,12 @@
 #   4. a substitute what-if answers with exactly one full STA analysis
 #      (the baseline; the change itself is incremental) and a positive
 #      area delta;
-#   5. failing routes answer the api/2 error envelope with the right
+#   5. /metrics counts the one query-store build all of these queries
+#      ran on (query_store_builds) and records its latency;
+#   6. failing routes answer the api/2 error envelope with the right
 #      code slug;
-#   6. docs/API.md and the served route table agree (obscheck -apispec);
-#   7. the daemon drains cleanly on SIGTERM.
+#   7. docs/API.md and the served route table agree (obscheck -apispec);
+#   8. the daemon drains cleanly on SIGTERM.
 #
 # Usage: scripts/query_smoke.sh [workdir]  (defaults to a fresh mktemp dir)
 set -eu
@@ -114,6 +116,13 @@ case $AREA_DELTA in
 '' | -*) die "substitute OR2_1->OR2_2 area delta '$AREA_DELTA', want positive" ;;
 esac
 say "what-if ok: full_analyses=1, area delta +$AREA_DELTA um2"
+
+# Every query above ran on one query store, built by the cold query:
+# /metrics counts that one build and records its latency.
+curl -fsS "$BASE/metrics" >"$DIR/metrics.prom"
+grep -qx 'query_store_builds 1' "$DIR/metrics.prom" || die "/metrics lacks query_store_builds 1: $(grep query_store "$DIR/metrics.prom")"
+grep -qx 'query_store_build_count 1' "$DIR/metrics.prom" || die "/metrics lacks one query_store_build latency: $(grep query_store "$DIR/metrics.prom")"
+say "store metrics ok: one build counted and timed"
 
 # The api/2 error envelope, spot-checked on each failure class.
 BADLIB=$(curl -sS -o /dev/null -w '%{http_code}' -X POST -d "$GROUPQ" "$BASE/v2/libraries/sha256:nope/query")
