@@ -106,8 +106,9 @@ load-smoke:
 
 # Cluster-mode smoke: a coordinator plus worker fleet runs a sharded
 # characterize, one worker is SIGKILLed mid-shard (lease expiry + steal
-# recover it with byte-identical artifacts), and a third node fills its
-# cache from a peer with SHA-256 verification (outcome "peer"). The
+# recover it with byte-identical artifacts), a third node fills its
+# cache from a peer with SHA-256 verification (outcome "peer"), and a
+# plain single node computes the same artifact hashes itself. The
 # retained shard set validates via obscheck -shard. See
 # scripts/cluster_smoke.sh and DESIGN.md section 15.
 cluster-smoke:

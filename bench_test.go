@@ -581,13 +581,20 @@ func BenchmarkWriteLiberty(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.SetBytes(int64(len(liberty.Append(nil, f.Stat.ToLiberty()))))
+		text, err := liberty.Append(nil, f.Stat.ToLiberty())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(text)))
 	}
 }
 
 // BenchmarkParseLiberty parses that text back into a Liberty library.
 func BenchmarkParseLiberty(b *testing.B) {
-	text := string(liberty.Append(nil, flow(b).Stat.ToLiberty()))
+	text, err := liberty.WriteString(flow(b).Stat.ToLiberty())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -617,7 +624,10 @@ func BenchmarkBuildQueryStore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	libText := string(liberty.Append(nil, f.Stat.ToLiberty()))
+	libText, err := liberty.WriteString(f.Stat.ToLiberty())
+	if err != nil {
+		b.Fatal(err)
+	}
 	var nb strings.Builder
 	if err := netlist.WriteVerilog(&nb, res.Netlist); err != nil {
 		b.Fatal(err)

@@ -16,13 +16,14 @@
 // daemon compiles its mux from (service.Routes()) — the documented
 // surface and the served surface cannot drift apart.
 //
-// -shard validates the stdcelltune-shard/1 document GET
-// /v1/cluster/shards/{digest} returns: fixed merge order (shard k at
-// position k), contiguous tiling of [0, instances), per-accumulator
-// counts within the shard's range and non-negative M2 (variance), and
-// per-entry counts summing to exactly N across the set — the invariant
-// that proves no shard was lost or double-counted, lease bounces and
-// steals included.
+// -shard validates the stdcelltune-shard/2 document GET
+// /v1/cluster/shards/{digest} returns: fixed assembly order (shard k at
+// position k), exact contiguous tiling of [0, instances), every
+// shard's instance count agreeing with the set's, one library and one
+// common row width across the set, and each shard's row bytes holding
+// exactly Hi-Lo rows of that width with a SHA-256 on record — the
+// invariants that prove no shard was lost or double-counted, lease
+// bounces and steals included.
 //
 // Usage:
 //
@@ -43,14 +44,12 @@ import (
 	"os"
 	"strings"
 
-	"stdcelltune/internal/dist"
 	"stdcelltune/internal/loadreport"
 	"stdcelltune/internal/obs"
 	"stdcelltune/internal/perfstat"
 	"stdcelltune/internal/service"
 	"stdcelltune/internal/service/journal"
 	"stdcelltune/internal/service/shard"
-	"stdcelltune/internal/statlib"
 )
 
 // chromeTrace mirrors the exported subset of the trace-event format the
@@ -76,7 +75,7 @@ func main() {
 	apiJobPath := flag.String("apijob", "", "stcd job document (stdcelltune-job/1) to validate")
 	apiArtifactsPath := flag.String("apiartifacts", "", "stcd artifact index JSON to validate")
 	journalPath := flag.String("journal", "", "stcd job journal (stdcelltune-journal/1) to validate")
-	shardPath := flag.String("shard", "", "retained cluster shard set (stdcelltune-shard/1) to validate")
+	shardPath := flag.String("shard", "", "retained cluster shard set (stdcelltune-shard/2) to validate")
 	loadPath := flag.String("loadreport", "", "stcload latency report (stdcelltune-load/1) to validate")
 	metricsPath := flag.String("metrics", "", "Prometheus text exposition scrape to validate (expects stcd's RED series)")
 	apiSpecPath := flag.String("apispec", "", "API spec markdown (docs/API.md) to cross-check against the daemon's served route table")
@@ -369,110 +368,50 @@ func main() {
 		if err := dec.Decode(&set); err != nil {
 			log.Fatalf("%s: not a shard set: %v", *shardPath, err)
 		}
-		if set.Schema != statlib.SchemaShard {
-			fail("%s: schema %q, want %q", *shardPath, set.Schema, statlib.SchemaShard)
+		if set.Schema != shard.Schema {
+			fail("%s: schema %q, want %q", *shardPath, set.Schema, shard.Schema)
 		}
 		if set.Instances <= 0 {
 			fail("%s: instances %d not positive", *shardPath, set.Instances)
 		}
 		if len(set.Shards) == 0 {
-			fail("%s: empty shard set", *shardPath)
+			log.Fatalf("%s: empty shard set", *shardPath)
 		}
-		// The retained set must be in the fixed merge order (index k at
-		// position k), tile [0, Instances) contiguously, and agree with the
-		// container on every global fact — exactly what MergeShards enforces
-		// before folding a single moment.
-		parts := make([]*statlib.Partial, 0, len(set.Shards))
-		for i, raw := range set.Shards {
-			pd := json.NewDecoder(strings.NewReader(string(raw)))
-			pd.DisallowUnknownFields()
-			var p statlib.Partial
-			if err := pd.Decode(&p); err != nil {
-				log.Fatalf("%s: shard %d does not decode as %s: %v", *shardPath, i, statlib.SchemaShard, err)
-			}
+		// The retained set must be in the fixed assembly order (index k at
+		// position k), tile [0, Instances) exactly, agree with the
+		// container and with its first shard on every global fact, and
+		// account for exactly Hi-Lo rows per shard — what Assemble
+		// enforces before a single row reaches the fold.
+		first := set.Shards[0]
+		next := 0
+		for i, p := range set.Shards {
 			switch {
-			case p.Schema != statlib.SchemaShard:
-				fail("%s: shard %d schema %q, want %q", *shardPath, i, p.Schema, statlib.SchemaShard)
+			case p.Schema != shard.Schema:
+				fail("%s: shard %d schema %q, want %q", *shardPath, i, p.Schema, shard.Schema)
 			case p.Index != i:
-				fail("%s: shard at position %d has index %d — retained order is the fixed merge order", *shardPath, i, p.Index)
+				fail("%s: shard at position %d has index %d — retained order is the fixed assembly order", *shardPath, i, p.Index)
 			case p.Shards != len(set.Shards):
 				fail("%s: shard %d claims %d shards, set has %d", *shardPath, i, p.Shards, len(set.Shards))
 			case p.N != set.Instances:
 				fail("%s: shard %d has N=%d, set says %d", *shardPath, i, p.N, set.Instances)
-			case p.Lo >= p.Hi:
-				fail("%s: shard %d range [%d,%d) empty", *shardPath, i, p.Lo, p.Hi)
-			case i == 0 && p.Lo != 0:
-				fail("%s: first shard starts at %d, want 0", *shardPath, p.Lo)
-			case i > 0 && p.Lo != parts[i-1].Hi:
-				fail("%s: shard %d starts at %d, previous ended at %d", *shardPath, i, p.Lo, parts[i-1].Hi)
+			case p.Library != first.Library:
+				fail("%s: shard %d is for library %q, shard 0 for %q", *shardPath, i, p.Library, first.Library)
+			case p.Width <= 0 || p.Width != first.Width:
+				fail("%s: shard %d rows are %d wide, shard 0's %d", *shardPath, i, p.Width, first.Width)
+			case p.Lo != next || p.Hi <= p.Lo:
+				fail("%s: shard %d range [%d,%d) does not continue the tiling at %d", *shardPath, i, p.Lo, p.Hi, next)
+			case p.RowsBytes != (p.Hi-p.Lo)*p.Width*8:
+				fail("%s: shard %d has %d row bytes, want %d rows of %d entries", *shardPath, i, p.RowsBytes, p.Hi-p.Lo, p.Width)
+			case len(p.RowsSHA256) != 64 || strings.Trim(p.RowsSHA256, "0123456789abcdef") != "":
+				fail("%s: shard %d row digest %q is not a SHA-256", *shardPath, i, p.RowsSHA256)
 			}
-			parts = append(parts, &p)
+			next = p.Hi
 		}
-		if last := parts[len(parts)-1]; last.Hi != set.Instances {
-			fail("%s: shards end at %d, want %d", *shardPath, last.Hi, set.Instances)
+		if next != set.Instances {
+			fail("%s: shards end at %d, want %d", *shardPath, next, set.Instances)
 		}
-		// Moment sanity per accumulator, then accounting: a shard folds
-		// every instance of its range into every tabulated entry, so counts
-		// are Hi-Lo within a shard and sum to exactly N across the set —
-		// a lost or double-counted shard shows up here. Cells any shard
-		// quarantined are exempt (the merge drops them library-wide).
-		totals := map[string]map[string]int64{}
-		badCells := map[string]bool{}
-		states := 0
-		for _, p := range parts {
-			span := int64(p.Hi - p.Lo)
-			for _, pc := range p.Cells {
-				if pc.Bad != "" {
-					badCells[pc.Name] = true
-					continue
-				}
-				entries := totals[pc.Name]
-				if entries == nil {
-					entries = map[string]int64{}
-					totals[pc.Name] = entries
-				}
-				for _, pp := range pc.Pins {
-					for _, pa := range pp.Arcs {
-						for _, edge := range []struct {
-							label string
-							ws    []dist.WelfordState
-						}{{"rise", pa.Rise}, {"fall", pa.Fall}} {
-							for k, s := range edge.ws {
-								states++
-								if s.N < 0 || s.N > span {
-									fail("%s: shard %d %s/%s/%s %s[%d] count %d outside [0,%d]",
-										*shardPath, p.Index, pc.Name, pp.Name, pa.RelatedPin, edge.label, k, s.N, span)
-								}
-								if s.M2 < -1e-9 {
-									fail("%s: shard %d %s/%s/%s %s[%d] M2 %g negative — variance must be >= 0",
-										*shardPath, p.Index, pc.Name, pp.Name, pa.RelatedPin, edge.label, k, s.M2)
-								}
-								entries[fmt.Sprintf("%s/%s/%s[%d]", pp.Name, pa.RelatedPin, edge.label, k)] += s.N
-							}
-						}
-					}
-				}
-			}
-		}
-		for cell, entries := range totals {
-			if badCells[cell] {
-				continue
-			}
-			for key, n := range entries {
-				if n != int64(set.Instances) {
-					fail("%s: %s/%s counts sum to %d across shards, want %d",
-						*shardPath, cell, key, n, set.Instances)
-				}
-			}
-		}
-		cells := len(totals)
-		for c := range badCells {
-			if _, ok := totals[c]; !ok {
-				cells++
-			}
-		}
-		fmt.Printf("obscheck: shard set ok: %s, %d instances in %d shards, %d accumulators (%d cells, %d quarantined)\n",
-			set.Group, set.Instances, len(set.Shards), states, cells, len(badCells))
+		fmt.Printf("obscheck: shard set ok: %s, %d instances in %d shards of %d-entry rows (%s)\n",
+			set.Group, set.Instances, len(set.Shards), first.Width, first.Library)
 	}
 
 	if *loadPath != "" {

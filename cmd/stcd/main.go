@@ -49,11 +49,14 @@
 //	-worker         run as a worker instead of a daemon (requires -join)
 //	-join           coordinator base URL a worker registers with
 //	-name           worker name label (default host-pid)
-//	-leasetimeout   shard lease TTL before a silent worker's task re-queues (default 10s)
-//	-shardsize      Monte-Carlo instances per shard task (default 25)
+//	-leasetimeout   shard lease TTL before a silent worker's task re-queues (default 10s);
+//	                a computing worker renews its lease every third of it
+//	-shardsize      Monte-Carlo instances per shard task (default 25); scheduling
+//	                only: no shard size changes a byte of the artifacts
 //	-peers          comma-separated peer stcd addresses for the peer cache tier
 //	-peeraddr       artifact address a worker advertises at registration
-//	-simcharlatency simulated external-characterizer latency per instance (benchmarks)
+//	-simcharlatency simulated external-characterizer latency per generated sample row,
+//	                local or on a worker (benchmarks); timing only, never bytes
 //
 // GET /metrics on the main address serves the Prometheus text
 // exposition (format 0.0.4) of the process registry, including the
@@ -116,10 +119,10 @@ func run() error {
 	join := flag.String("join", "", "coordinator base URL to register with (worker mode)")
 	workerName := flag.String("name", "", "worker name label (default host-pid)")
 	leaseTimeout := flag.Duration("leasetimeout", 10*time.Second, "shard lease TTL before a silent worker's task re-queues")
-	shardSize := flag.Int("shardsize", 0, "Monte-Carlo instances per shard task (0 = default)")
+	shardSize := flag.Int("shardsize", 0, "Monte-Carlo instances per shard task (0 = default); scheduling only, never changes artifact bytes")
 	peerList := flag.String("peers", "", "comma-separated peer stcd addresses for the peer cache tier")
 	peerAddr := flag.String("peeraddr", "", "artifact address a worker advertises at registration")
-	simCharLatency := flag.Duration("simcharlatency", 0, "simulated external-characterizer latency per Monte-Carlo instance")
+	simCharLatency := flag.Duration("simcharlatency", 0, "simulated external-characterizer latency per generated Monte-Carlo sample row")
 	flag.Parse()
 
 	level, ok := obs.ParseLogLevel(*logLevel)

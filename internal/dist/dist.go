@@ -50,8 +50,7 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // buffer, and the pipeline's bit-identity guarantee depends on the sums
 // associating identically. The two-pass form is numerically safe on
 // near-constant samples (large mean, tiny sigma) where the textbook
-// one-pass E[x²]−mean² formula cancels catastrophically; see the
-// Welford accumulator for the single-pass streaming alternative.
+// one-pass E[x²]−mean² formula cancels catastrophically.
 func MeanStdDev(xs []float64) (mean, sigma float64) {
 	return Mean(xs), StdDev(xs)
 }

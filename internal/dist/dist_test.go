@@ -420,3 +420,66 @@ func TestQuantile(t *testing.T) {
 		t.Error("Quantile mutated input")
 	}
 }
+
+// naiveOnePass is the textbook E[x²]−mean² variance formula — the
+// numerically unsafe single-pass alternative the package deliberately
+// does not use. It exists here only to demonstrate the failure mode the
+// regression inputs below provoke.
+func naiveOnePass(xs []float64) (mean, sigma float64) {
+	n := float64(len(xs))
+	var s, sq float64
+	for _, x := range xs {
+		s += x
+		sq += x * x
+	}
+	mean = s / n
+	v := (sq - n*mean*mean) / (n - 1)
+	return mean, math.Sqrt(v)
+}
+
+// cancellationSamples builds the catastrophic-cancellation regression
+// input: 50 samples (the characterization default) with a huge mean and
+// a tiny spread, the shape of a delay entry measured in femtoseconds
+// with picosecond-scale mismatch.
+func cancellationSamples() []float64 {
+	// mean/spread = 1e9: far past where E[x²]−mean² cancels (x² needs
+	// ~18 extra digits), while x−mean still resolves the offsets to
+	// ~1e-7 relative, so the two-pass algorithm stays accurate.
+	const mean, spread = 1e6, 1e-3
+	xs := make([]float64, 50)
+	for i := range xs {
+		// Deterministic, symmetric offsets in [-spread, +spread].
+		xs[i] = mean + spread*(float64(i%11)-5)/5
+	}
+	return xs
+}
+
+func TestMeanStdDevCancellationProne(t *testing.T) {
+	xs := cancellationSamples()
+
+	// Exact sigma of the offset pattern, computed at small scale where
+	// float64 has plenty of headroom.
+	small := make([]float64, len(xs))
+	for i, x := range xs {
+		small[i] = x - 1e6
+	}
+	wantMean, want := MeanStdDev(small)
+	wantMean += 1e6
+	if want <= 0 {
+		t.Fatalf("degenerate reference sigma %g", want)
+	}
+
+	m, s := MeanStdDev(xs)
+	if math.Abs(m-wantMean) > 1e-12*wantMean {
+		t.Errorf("two-pass mean = %v, want %v", m, wantMean)
+	}
+	if rel := math.Abs(s-want) / want; rel > 1e-9 {
+		t.Errorf("two-pass sigma = %v, want %v (rel err %g)", s, want, rel)
+	}
+
+	// The one-pass formula must actually fail on this input — otherwise
+	// the regression test isn't exercising the cancellation regime.
+	if _, naive := naiveOnePass(xs); math.Abs(naive-want)/want < 0.5 {
+		t.Errorf("naive one-pass sigma %v unexpectedly close to %v; inputs no longer cancellation-prone", naive, want)
+	}
+}

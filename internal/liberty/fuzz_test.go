@@ -61,6 +61,12 @@ func oracleSeeds(t testing.TB) []string {
 		fmt.Sprintf(arc, `cell_rise (t) { index_1 (1, 2); index_2 ("1"); values (1, 2); }`),
 		"library (x) { cell (C/*x*/) { area : 1/*2*/; } } ",
 		"library (x) {\\\n cell (C) { area : \"1\n\"; } }",
+		// Names, units and strings that only a quoted form holds.
+		`library ("lib (1)") { time_unit : "1/*ns*/"; voltage_unit : "1 V"; capacitive_load_unit (1, "p f"); default_operating_conditions : "typ, hot"; }`,
+		`library (x) { cell ("a b") { area : 1; } cell ("//c") { } cell ("/*d*/") { } cell ("e{f}") { cell_footprint : "g;h"; } }`,
+		`library (x) { lu_table_template ("t:1") { variable_1 : "total output"; variable_2 : "a\b"; index_1 ("1"); index_2 ("1"); } }`,
+		fmt.Sprintf(arc, `timing_sense : "positive unate"; timing_type : "//x"; cell_rise ("t 1") { index_1 ("1"); index_2 ("1"); values ("1"); }`),
+		`library (x) { cell (C) { pin ("p;q") { direction : output; function : "(a)/*b"; max_capacitance : 1; timing () { related_pin : "A,B"; } } } }`,
 	}
 }
 
@@ -120,14 +126,19 @@ func checkAgainstOracle(t *testing.T, src string) {
 	if d := sameBits(reflect.ValueOf(lib), reflect.ValueOf(want), "lib"); d != "" {
 		t.Fatalf("Parse and oracle libraries differ at %s, on:\n%q", d, src)
 	}
-	// Whatever the parser accepts, the writer must serialize, and its
-	// output must parse back.
+	// Whatever the parser accepts, the writer must serialize (a parsed
+	// value never holds a double quote), as text that reads back as the
+	// library it wrote: writing the re-parsed library gives the same text.
 	out, werr := WriteString(lib)
 	if werr != nil {
-		return
+		t.Fatalf("writer refused a parsed library: %v", werr)
 	}
-	if _, rerr := Parse(out); rerr != nil {
+	back, rerr := Parse(out)
+	if rerr != nil {
 		t.Fatalf("writer output does not re-parse: %v", rerr)
+	}
+	if again, _ := WriteString(back); again != out {
+		t.Fatalf("writer output reads back as a different library:\n%s\nrewritten:\n%s", out, again)
 	}
 }
 

@@ -556,3 +556,28 @@ func TestParserNeverPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestWriteRefusesDoubleQuote: a Liberty string has no escapes, so a
+// value holding a double quote fits no form. Write, WriteString and
+// Append refuse such a library whole, and write nothing.
+func TestWriteRefusesDoubleQuote(t *testing.T) {
+	for _, mutate := range []func(*Library){
+		func(l *Library) { l.Name = `lib"x` },
+		func(l *Library) { l.TimeUnit = `1"ns` },
+		func(l *Library) { l.Cells[0].Name = `C"1` },
+		func(l *Library) { l.Cells[0].Footprint = `"` },
+	} {
+		l := sampleLibrary()
+		mutate(l)
+		var sb strings.Builder
+		if err := Write(&sb, l); err == nil || sb.Len() != 0 {
+			t.Errorf("Write: err=%v, %d bytes written", err, sb.Len())
+		}
+		if s, err := WriteString(l); err == nil || s != "" {
+			t.Errorf("WriteString: err=%v, %d bytes", err, len(s))
+		}
+		if b, err := Append([]byte("keep"), l); err == nil || string(b) != "keep" {
+			t.Errorf("Append: err=%v, buffer %q", err, b)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package liberty
 
 import (
+	"fmt"
 	"io"
 	"slices"
 	"strconv"
@@ -12,19 +13,23 @@ import (
 // Append appends the Liberty text of the library to dst and returns the
 // extended buffer. Cells and pins are emitted in their stored order;
 // call SortCells first for a canonical file. The emitted subset
-// round-trips through Parse.
+// round-trips through Parse: a name or value that would not read back
+// as itself unquoted (it holds a delimiter, or starts a comment) is
+// quoted. A value holding a double quote fits no Liberty form, since
+// strings have no escapes; for such a library Append returns dst
+// unchanged and an error.
 //
 // The text is produced by one append-based printer: numbers go straight
 // into the buffer through strconv.AppendFloat, so rendering a library
 // costs about what its bytes cost.
-func Append(dst []byte, l *Library) []byte {
+func Append(dst []byte, l *Library) ([]byte, error) {
 	p := printer{b: slices.Grow(dst, sizeHint(l))}
 	p.open("library", l.Name)
 	p.attrQuoted("time_unit", orDefault(l.TimeUnit, "1ns"))
 	// Complex attribute form: capacitive_load_unit (1, pf);
 	p.pad(p.indent)
 	p.b = append(p.b, "capacitive_load_unit (1, "...)
-	p.b = append(p.b, strings.TrimPrefix(orDefault(l.CapacitiveUnit, "1pf"), "1")...)
+	p.value(strings.TrimPrefix(orDefault(l.CapacitiveUnit, "1pf"), "1"))
 	p.b = append(p.b, ");\n"...)
 	p.attrQuoted("voltage_unit", orDefault(l.VoltageUnit, "1V"))
 	p.attrFloat("nom_voltage", l.NominalVoltage)
@@ -40,7 +45,10 @@ func Append(dst []byte, l *Library) []byte {
 		p.cell(c)
 	}
 	p.close()
-	return p.b
+	if p.err != nil {
+		return dst, p.err
+	}
+	return p.b, nil
 }
 
 // sizeHint estimates the text length of a library: 20 bytes per number
@@ -79,15 +87,22 @@ func sizeHint(l *Library) int {
 	return n
 }
 
-// Write serializes the library as Liberty text in one write.
+// Write serializes the library as Liberty text in one write. A library
+// Append cannot represent writes nothing and returns Append's error.
 func Write(w io.Writer, l *Library) error {
-	_, err := w.Write(Append(nil, l))
+	text, err := Append(nil, l)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(text)
 	return err
 }
 
-// WriteString serializes the library to a string.
+// WriteString serializes the library to a string, or returns Append's
+// error for a library it cannot represent.
 func WriteString(l *Library) (string, error) {
-	return string(Append(nil, l)), nil
+	text, err := Append(nil, l)
+	return string(text), err
 }
 
 func orDefault(s, d string) string {
@@ -98,10 +113,11 @@ func orDefault(s, d string) string {
 }
 
 // printer appends Liberty statements to b, two spaces of indentation
-// per open group.
+// per open group; err records the first value no Liberty form can hold.
 type printer struct {
 	b      []byte
 	indent int
+	err    error
 }
 
 func (p *printer) pad(n int) {
@@ -114,7 +130,7 @@ func (p *printer) open(kind, name string) {
 	p.pad(p.indent)
 	p.b = append(p.b, kind...)
 	p.b = append(p.b, " ("...)
-	p.b = append(p.b, name...)
+	p.value(name)
 	p.b = append(p.b, ") {\n"...)
 	p.indent++
 }
@@ -134,15 +150,39 @@ func (p *printer) name(name string) {
 
 func (p *printer) attr(name, value string) {
 	p.name(name)
-	p.b = append(p.b, value...)
+	p.value(value)
 	p.b = append(p.b, ";\n"...)
 }
 
 func (p *printer) attrQuoted(name, value string) {
 	p.name(name)
+	p.quoted(value)
+	p.b = append(p.b, ";\n"...)
+}
+
+// value appends v bare when it reads back as one identifier (or as
+// nothing, for ""), else quoted.
+func (p *printer) value(v string) {
+	bare := !strings.HasPrefix(v, "//") && !strings.HasPrefix(v, "/*")
+	for i := 0; bare && i < len(v); i++ {
+		bare = !delim[v[i]]
+	}
+	if !bare {
+		p.quoted(v)
+		return
+	}
+	p.b = append(p.b, v...)
+}
+
+// quoted appends v as a Liberty string. A string runs to the next
+// double quote, with no escapes, so a v holding one cannot be written.
+func (p *printer) quoted(v string) {
+	if p.err == nil && strings.IndexByte(v, '"') >= 0 {
+		p.err = fmt.Errorf("liberty: %q holds a double quote, which no Liberty string can", v)
+	}
 	p.b = append(p.b, '"')
-	p.b = append(p.b, value...)
-	p.b = append(p.b, "\";\n"...)
+	p.b = append(p.b, v...)
+	p.b = append(p.b, '"')
 }
 
 func (p *printer) attrFloat(name string, f float64) {

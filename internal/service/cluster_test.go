@@ -35,16 +35,53 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestClusterEndToEnd drives the whole tentpole in-process: a
-// coordinator-hosting daemon, a real worker polling its HTTP cluster
-// routes, a submitted job whose characterize stage distributes as
-// shards, and the retained shard set queryable afterwards.
+// sameArtifacts fails unless got holds exactly want's artifacts, byte
+// for byte.
+func sameArtifacts(t *testing.T, label string, got, want map[string][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d artifacts, single-node run produced %d", label, len(got), len(want))
+	}
+	for name, wb := range want {
+		if !bytes.Equal(got[name], wb) {
+			t.Errorf("%s: artifact %s differs from the single-node run", label, name)
+		}
+	}
+}
+
+// TestClusterEndToEnd: one digest names one byte string. Every
+// execution mode of the characterize stage — the cluster at several
+// shard sizes, and the simulated characterizer latency — must produce
+// all seven artifacts byte-identical to the plain single-node Run.
 func TestClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full cluster pipeline over HTTP")
 	}
+	direct, err := Run(context.Background(), clusterSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1, 2, 5} {
+		t.Run(fmt.Sprintf("shardsize-%d", size), func(t *testing.T) {
+			clusterRoundTrip(t, size, direct)
+		})
+	}
+	t.Run("simcharlatency", func(t *testing.T) {
+		got, err := (&Pipeline{SimCharLatency: time.Microsecond}).Run(context.Background(), clusterSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameArtifacts(t, "simulated latency", got, direct)
+	})
+}
+
+// clusterRoundTrip drives the cluster tier in-process: a
+// coordinator-hosting daemon, two real workers polling its HTTP cluster
+// routes, a submitted job whose characterize stage runs as shards of
+// the given size, and the retained shard set queryable afterwards.
+func clusterRoundTrip(t *testing.T, size int, direct map[string][]byte) {
 	coord := shard.New(shard.Options{LeaseTTL: 5 * time.Second})
-	p := &Pipeline{Cluster: coord, ShardSize: 2}
+	p := &Pipeline{Cluster: coord, ShardSize: size}
 	store, _ := cache.New("")
 	m := NewManager(store, ManagerOptions{Run: p.Run, Cluster: coord, Trace: true})
 	ts := httptest.NewServer(Handler(m))
@@ -70,42 +107,35 @@ func TestClusterEndToEnd(t *testing.T) {
 	if done.Outcome != "miss" {
 		t.Fatalf("cold cluster outcome %q, want miss", done.Outcome)
 	}
-	if len(done.Artifacts) == 0 {
-		t.Fatal("cluster job produced no artifacts")
-	}
 
-	// The shard queue actually did the characterize work: ceil(5/2)=3
-	// tasks enqueued and completed, none lost.
+	// The shard queue actually did the characterize work: one task per
+	// shard of the split, enqueued and completed, none lost.
+	tasks := int64(len(shard.ShardRanges(clusterSpec.Instances, size)))
 	st := coord.Stats()
-	if st.Enqueued != 3 || st.Completed != 3 {
-		t.Fatalf("coordinator stats: enqueued=%d completed=%d, want 3/3", st.Enqueued, st.Completed)
+	if st.Enqueued != tasks || st.Completed != tasks {
+		t.Fatalf("coordinator stats: enqueued=%d completed=%d, want %d/%d", st.Enqueued, st.Completed, tasks, tasks)
 	}
 	if st.QueueDepth != 0 || st.Leased != 0 {
 		t.Fatalf("queue not drained: depth=%d leased=%d", st.QueueDepth, st.Leased)
 	}
 
-	// Same set of artifact names as the single-node pipeline, and the
-	// normalized spec document is byte-identical (determinism of the
-	// spec layer is mode-independent).
-	direct, err := Run(context.Background(), clusterSpec)
-	if err != nil {
-		t.Fatal(err)
+	// Every artifact, as served, is the single-node run's bytes.
+	served := make(map[string][]byte, len(done.Artifacts))
+	for name := range direct {
+		served[name] = getBytes(t, ts.URL+"/v1/artifacts/"+done.Digest+"/"+name)
 	}
 	if len(done.Artifacts) != len(direct) {
 		t.Fatalf("cluster job lists %d artifacts, single-node produced %d", len(done.Artifacts), len(direct))
 	}
-	got := getBytes(t, ts.URL+"/v1/artifacts/"+done.Digest+"/"+ArtifactSpec)
-	if !bytes.Equal(got, direct[ArtifactSpec]) {
-		t.Fatalf("%s differs between cluster and single-node runs", ArtifactSpec)
-	}
+	sameArtifacts(t, fmt.Sprintf("shard size %d", size), served, direct)
 
 	// The retained shard set is served over HTTP for obscheck -shard.
 	var set shard.ShardSet
 	if err := json.Unmarshal(getBytes(t, ts.URL+"/v1/cluster/shards/"+done.Digest), &set); err != nil {
 		t.Fatal(err)
 	}
-	if set.Instances != 5 || len(set.Shards) != 3 {
-		t.Fatalf("retained shard set: instances=%d shards=%d, want 5/3", set.Instances, len(set.Shards))
+	if set.Instances != clusterSpec.Instances || int64(len(set.Shards)) != tasks {
+		t.Fatalf("retained shard set: instances=%d shards=%d, want %d/%d", set.Instances, len(set.Shards), clusterSpec.Instances, tasks)
 	}
 
 	// Cluster state shows up on the operational surfaces.
@@ -113,8 +143,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(getBytes(t, ts.URL+"/v1/cluster"), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Completed != 3 {
-		t.Fatalf("GET /v1/cluster completed=%d, want 3", stats.Completed)
+	if stats.Completed != tasks {
+		t.Fatalf("GET /v1/cluster completed=%d, want %d", stats.Completed, tasks)
 	}
 	var health map[string]any
 	if err := json.Unmarshal(getBytes(t, ts.URL+"/healthz"), &health); err != nil {
@@ -135,8 +165,7 @@ func TestClusterEndToEnd(t *testing.T) {
 // TestClusterFallbackLocal: when the fleet dies mid-wait (registered
 // node goes silent past the liveness window), the characterize stage
 // falls back to local computation and the job still succeeds — with
-// bytes identical to the plain single-node pipeline, because the local
-// fallback is the byte-identity path.
+// bytes identical to the plain single-node pipeline.
 func TestClusterFallbackLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline")
@@ -183,11 +212,7 @@ func TestClusterFallbackLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, wb := range want {
-		if !bytes.Equal(got[name], wb) {
-			t.Errorf("fallback artifact %s differs from single-node run", name)
-		}
-	}
+	sameArtifacts(t, "fallback", got, want)
 	if st := coord.Stats(); st.QueueDepth != 0 {
 		t.Fatalf("failed group left %d tasks queued", st.QueueDepth)
 	}

@@ -52,7 +52,7 @@ func TestCodecArtifactsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back := liberty.Append(nil, parsed); !bytes.Equal(back, lib) {
+		if back, err := liberty.Append(nil, parsed); err != nil || !bytes.Equal(back, lib) {
 			t.Errorf("%+v: %s does not round-trip through Parse and Append", c.spec, ArtifactStatLib)
 		}
 		design, err := netlist.ParseVerilog(string(nl), stdcell.NewCatalogue(stdcell.Typical))

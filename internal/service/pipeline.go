@@ -42,37 +42,37 @@ const (
 
 // DefaultShardSize is the instances-per-shard default of the cluster
 // tier: small enough that a 200-instance job spreads over a handful of
-// workers with steals possible, large enough that the per-shard
-// partial-snapshot overhead stays negligible against the fold itself.
+// workers with steals possible, large enough that per-task overhead
+// stays negligible against generating the rows. It schedules only: no
+// shard size changes a byte of the result.
 const DefaultShardSize = 25
 
 // charNoise is the characterization-noise setting of the service
-// pipeline, matching the facade's CharacterizeCtx exactly — the
-// sharded fold must feed variation.Instance the identical Config or
-// the per-instance bytes change.
+// pipeline, matching the facade's CharacterizeCtx exactly — every row
+// generator, local or on a worker, must see the identical Config or
+// the rows change.
 var charNoise = variation.DefaultConfig().CharNoise
 
 // Pipeline is the service compute function with its cluster knobs. The
-// zero value IS the classic single-node pipeline: no coordinator, no
-// simulated characterizer latency, byte-identical behavior to the
-// pre-cluster daemon (package-level Run delegates to it).
+// zero value is the single-node pipeline (package-level Run delegates
+// to it). No knob changes the artifacts: a spec's bytes are the same in
+// every mode, which is what lets one digest name them.
 type Pipeline struct {
-	// Cluster, when non-nil and currently seeing live workers,
-	// distributes the characterize stage as shard tasks and merges the
-	// returned partials in fixed shard order. If the fleet dies mid-job
-	// (shard.ErrNoWorkers) the stage falls back to computing locally —
-	// cluster loss costs latency, never the job.
+	// Cluster, when non-nil and currently seeing live workers, has
+	// workers generate the characterize stage's sample rows as shard
+	// tasks. If the fleet dies mid-job (shard.ErrNoWorkers) the rows
+	// are generated locally — cluster loss costs latency, never the
+	// job.
 	Cluster *shard.Coordinator
 	// ShardSize is the instances-per-shard split; 0 means
-	// DefaultShardSize. The split is a pure function of (N, ShardSize),
-	// so the merged result is independent of worker count.
+	// DefaultShardSize. It is scheduling only: any split assembles the
+	// same sample matrix.
 	ShardSize int
-	// SimCharLatency injects a per-instance sleep modeling an external
-	// characterizer (one SPICE run per Monte-Carlo instance). It
-	// applies to the local fallback path here and, via the worker's
-	// Executor, to shard computes — making single-node vs cluster
-	// benchmarks an apples-to-apples comparison of the same
-	// latency-bound workload.
+	// SimCharLatency injects a per-row sleep into row generation,
+	// modeling an external characterizer (one SPICE run per
+	// Monte-Carlo instance). Workers apply the same sleep through their
+	// Executor, so single-node and cluster benchmarks time the same
+	// latency-bound workload. It changes timing, never bytes.
 	SimCharLatency time.Duration
 }
 
@@ -125,8 +125,15 @@ func (p *Pipeline) Run(ctx context.Context, spec Spec) (map[string][]byte, error
 	// stage fails the text is dropped; the channel is buffered, so the
 	// render never blocks. It gets no service span: the job's stage
 	// spans must not overlap, or the trace would count time twice.
-	statLib := make(chan []byte, 1)
-	go func() { statLib <- liberty.Append(nil, stat.ToLiberty()) }()
+	type rendered struct {
+		text []byte
+		err  error
+	}
+	statLib := make(chan rendered, 1)
+	go func() {
+		text, err := liberty.Append(nil, stat.ToLiberty())
+		statLib <- rendered{text, err}
+	}()
 
 	method, _ := methodFromSlug(spec.Method)
 	span := tr.Start("tune", "service", "method", spec.Method, "bound", spec.Bound)
@@ -159,27 +166,24 @@ func (p *Pipeline) Run(ctx context.Context, spec Spec) (map[string][]byte, error
 		return nil, fmt.Errorf("analyze variation: %w", err)
 	}
 
-	return encodeArtifacts(spec, <-statLib, win, rep, res, ds)
+	lib := <-statLib
+	if lib.err != nil {
+		return nil, fmt.Errorf("encode %s: %w", ArtifactStatLib, lib.err)
+	}
+	return encodeArtifacts(spec, lib.text, win, rep, res, ds)
 }
 
-// characterize runs the Monte-Carlo characterization stage, picking the
-// execution mode:
-//
-//   - cluster: a live worker fleet folds shards remotely and the
-//     coordinator merges the partials in fixed shard order. Numerically
-//     within the documented BuildStream ulp contract of the two-pass
-//     Build; deterministically reproducible because the shard split and
-//     merge order depend only on (N, ShardSize), never on which worker
-//     computed what.
-//   - simulated latency: local fold through the same streaming path,
-//     with the per-instance sleep the workers would apply — the
-//     single-node baseline for cluster benchmarks.
-//   - local: the facade's CharacterizeCtx, byte-identical to the
-//     pre-cluster pipeline. The zero-value Pipeline always lands here.
+// characterize runs the Monte-Carlo characterization stage: it gets the
+// N×E delay-sample matrix, from the cluster's workers when it has live
+// ones or else from the local generator at pool width, and folds it
+// once through statlib.FoldSamples. Row i depends only on (seed, i,
+// cell), so the matrix, and the library folded from it, is the same
+// bits in every mode and at every shard size.
 func (p *Pipeline) characterize(ctx context.Context, cat *stdcelltune.Catalogue, spec Spec) (*stdcelltune.StatisticalLibrary, error) {
 	tr := obs.TracerFrom(ctx)
 	n := spec.Instances
 	name := "stat_" + cat.Corner.Name()
+	var rows [][]float64
 
 	if p.Cluster != nil && p.Cluster.Workers() > 0 {
 		size := p.ShardSize
@@ -188,80 +192,42 @@ func (p *Pipeline) characterize(ctx context.Context, cat *stdcelltune.Catalogue,
 		}
 		span := tr.Start("characterize", "service",
 			"instances", n, "seed", spec.Seed, "mode", "cluster", "shard_size", size)
-		stat, err := p.distribute(ctx, cat, spec, name, size)
-		span.End()
+		dig := spec.Digest()
+		raws, err := p.Cluster.Run(ctx, dig, shard.CharTasks(dig, name, spec.Corner, spec.Seed, charNoise, n, size))
 		if err == nil {
-			return stat, nil
+			rows, err = p.Cluster.Assemble(dig, name, n, cat.Layout().Entries, raws)
 		}
-		if !errors.Is(err, shard.ErrNoWorkers) {
+		switch {
+		case err == nil:
+			defer span.End()
+		case errors.Is(err, shard.ErrNoWorkers):
+			// The fleet died mid-wait. Cluster loss costs latency, never
+			// the job: generate the rows locally below.
+			span.End()
+			obs.Log().Warn("cluster characterize lost its workers, computing locally", "spec", dig)
+		default:
+			span.End()
 			return nil, err
 		}
-		// The fleet died mid-wait. Cluster loss costs latency, never the
-		// job: recompute locally below.
-		obs.Log().Warn("cluster characterize lost its workers, computing locally", "spec", spec.Digest())
 	}
 
-	if p.SimCharLatency > 0 {
-		span := tr.Start("characterize", "service",
-			"instances", n, "seed", spec.Seed, "mode", "local-simlatency")
+	if rows == nil {
+		span := tr.Start("characterize", "service", "instances", n, "seed", spec.Seed)
 		defer span.End()
-		sm := variation.NewSampler(spec.Seed)
+		var err error
 		cfg := variation.Config{N: n, Seed: spec.Seed, CharNoise: charNoise}
-		stat, err := statlib.BuildStream(name, n, func(i int) (*liberty.Library, error) {
-			if err := sleepCtx(ctx, p.SimCharLatency); err != nil {
-				return nil, err
+		if rows, err = variation.SampleRows(ctx, cat, cfg, 0, n, p.SimCharLatency); err != nil {
+			if ctx.Err() != nil {
+				err = fmt.Errorf("%w: %v", stdcelltune.ErrCancelled, err)
 			}
-			return variation.Instance(cat, sm, i, cfg), nil
-		})
-		if err != nil {
 			return nil, err
 		}
-		return (*stdcelltune.StatisticalLibrary)(stat), nil
 	}
-
-	span := tr.Start("characterize", "service", "instances", n, "seed", spec.Seed)
-	defer span.End()
-	return stdcelltune.CharacterizeCtx(ctx, cat, stdcelltune.CharacterizeOptions{
-		Instances: spec.Instances, Seed: spec.Seed,
-	})
-}
-
-// distribute splits the characterize stage into shard tasks, runs them
-// on the cluster, and merges the returned partials.
-func (p *Pipeline) distribute(ctx context.Context, cat *stdcelltune.Catalogue, spec Spec, name string, size int) (*stdcelltune.StatisticalLibrary, error) {
-	dig := spec.Digest()
-	tasks := shard.CharTasks(dig, name, spec.Corner, spec.Seed, charNoise, spec.Instances, size)
-	raws, err := p.Cluster.Run(ctx, dig, spec.Instances, tasks)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*statlib.Partial, len(raws))
-	for i, raw := range raws {
-		part := new(statlib.Partial)
-		if err := json.Unmarshal(raw, part); err != nil {
-			return nil, fmt.Errorf("shard %d: decode partial: %w", i, err)
-		}
-		parts[i] = part
-	}
-	// The structural reference is the nominal (unperturbed) library —
-	// cheap, and congruent with every instance by construction.
-	stat, err := statlib.MergeShards(name, spec.Instances, cat.BuildLibrary(name+"_ref", nil), parts)
+	stat, err := statlib.FoldSamples(name, cat.Layout(), rows)
 	if err != nil {
 		return nil, err
 	}
 	return (*stdcelltune.StatisticalLibrary)(stat), nil
-}
-
-// sleepCtx sleeps for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // windowsDoc is the ArtifactWindows JSON shape.

@@ -185,7 +185,7 @@ func Routes() []RouteInfo {
 // mounts alongside (absent on single-node daemons):
 //
 //	POST   /v1/cluster/nodes            worker registration
-//	POST   /v1/cluster/lease            lease a shard task (204 = no work)
+//	POST   /v1/cluster/lease            lease a shard task (204 = no work), or renew one (409 = stale lease)
 //	POST   /v1/cluster/complete         report a shard result (409 = stale lease)
 //	GET    /v1/cluster                  coordinator statistics
 //	GET    /v1/cluster/shards/{digest}  retained shard set of a finished job
@@ -591,8 +591,21 @@ func handleClusterLease(m *Manager) http.HandlerFunc {
 			writeJSON(w, http.StatusBadRequest, errorDoc{Error: "bad lease request", Status: http.StatusBadRequest})
 			return
 		}
-		lease, ok, err := c.Lease(req.Node)
+		var (
+			lease shard.Lease
+			ok    bool
+			err   error
+		)
+		if req.Task != "" {
+			// A renewal of a lease the worker is still computing.
+			lease, err = c.Renew(req.Node, req.Task, req.Token)
+			ok = err == nil
+		} else {
+			lease, ok, err = c.Lease(req.Node)
+		}
 		switch {
+		case errors.Is(err, shard.ErrStaleLease):
+			writeJSON(w, http.StatusConflict, errorDoc{Error: err.Error(), Status: http.StatusConflict})
 		case errors.Is(err, shard.ErrUnknownNode):
 			writeJSON(w, http.StatusNotFound, errorDoc{Error: err.Error(), Status: http.StatusNotFound})
 		case err != nil:

@@ -5,35 +5,48 @@
 // The unit of work is one contiguous slice [Lo, Hi) of a characterize
 // job's N Monte-Carlo instances. Workers pull tasks from the shared
 // queue (idle workers pull more — that IS the work stealing; there is
-// no per-worker assignment to steal from), fold their slice through
-// the streaming Welford path, and ship back a compact
-// stdcelltune-shard/1 partial (statlib.Partial). Every lease carries a
-// TTL and a fencing token: a dead or stalled worker's lease expires,
-// the task re-queues, and the next completion with the old token is
-// rejected — a shard can therefore be computed twice but never counted
-// twice. The coordinator merges partials in fixed shard order, so the
-// result is independent of arrival order and run-to-run deterministic
-// (see statlib.MergeShards).
+// no per-worker assignment to steal from), generate their slice of the
+// delay-sample matrix with the row generator a single node uses
+// (variation.SampleRows), and ship the rows back as a
+// stdcelltune-shard/2 document (Rows). Every lease carries a TTL and a
+// fencing token: a worker renews its lease while it computes, a dead
+// or stalled worker's lease expires, the task re-queues, and the next
+// completion with the old token is rejected — a shard can therefore be
+// computed twice but never counted twice. The coordinator checks the
+// documents and copies the rows into one N×E matrix in shard order
+// (Assemble); the caller folds that matrix once. A row's bits depend
+// only on (seed, instance, cell), so the matrix, and every byte folded
+// from it, is the single-node one whatever the shard size, worker
+// count or arrival order.
 //
 // The wire protocol is four JSON POST/GET routes the service handler
 // mounts under /v1/cluster (see RegisterRequest and friends); the
 // worker side needs only this package and net/http, keeping the
-// dependency direction service -> shard.
+// dependency direction service -> shard. Only this package knows the
+// shard document format.
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
+	"stdcelltune/internal/digest"
 	"stdcelltune/internal/obs"
-	"stdcelltune/internal/statlib"
 )
+
+// Schema names the two shard documents: a worker's result for one
+// characterize task (Rows) and the retained set of a finished group
+// (ShardSet) that obscheck -shard validates.
+const Schema = "stdcelltune-shard/2"
 
 // ErrStaleLease rejects a completion whose fencing token no longer
 // matches: the lease expired (and possibly re-queued or re-leased)
@@ -66,8 +79,8 @@ type CharTask struct {
 	// carried explicitly so the protocol pins it rather than trusting
 	// both sides to share a default.
 	CharNoise float64 `json:"char_noise"`
-	// N/Shards/Index/Lo/Hi mirror statlib.Partial: this task covers
-	// instances [Lo, Hi) of N, as shard Index of Shards.
+	// N/Shards/Index/Lo/Hi mirror Header: this task covers instances
+	// [Lo, Hi) of N, as shard Index of Shards.
 	N      int `json:"instances"`
 	Shards int `json:"shards"`
 	Index  int `json:"shard"`
@@ -102,8 +115,13 @@ type (
 		Node       string        `json:"node"`
 		LeaseTTLNS time.Duration `json:"lease_ttl_ns"`
 	}
+	// LeaseRequest polls for a task or, with Task and Token set,
+	// renews that lease: a worker renews while it computes, and a stale
+	// token is refused (409 on the wire).
 	LeaseRequest struct {
-		Node string `json:"node"`
+		Node  string `json:"node"`
+		Task  string `json:"task,omitempty"`
+		Token string `json:"token,omitempty"`
 	}
 	CompleteRequest struct {
 		Node   string          `json:"node"`
@@ -126,17 +144,53 @@ type Stats struct {
 	Enqueued      int64 `json:"tasks_enqueued"`
 	Completed     int64 `json:"tasks_completed"`
 	Steals        int64 `json:"steals"`
+	LeaseRenewals int64 `json:"lease_renewals"`
 	LeaseExpiries int64 `json:"lease_expiries"`
 	StaleRejected int64 `json:"stale_rejected"`
 }
 
-// ShardSet is the retained partial set of one finished group, the
-// document obscheck -shard validates.
+// Header describes one shard of a characterize job's delay-sample
+// matrix: rows [Lo, Hi) of N, each Width entries wide, as shard Index
+// of Shards.
+type Header struct {
+	Schema  string `json:"schema"`
+	Library string `json:"library"`
+	N       int    `json:"instances"`
+	Shards  int    `json:"shards"`
+	Index   int    `json:"shard"`
+	Lo      int    `json:"lo"`
+	Hi      int    `json:"hi"`
+	Width   int    `json:"width"`
+}
+
+// Rows is a worker's result for one characterize task: its rows of the
+// sample matrix, row-major, each float64 as the 8 little-endian bytes
+// of its IEEE-754 bits (base64 in JSON). The encoding keeps every bit,
+// NaN payloads included, so the assembled matrix is the one a single
+// node generates.
+type Rows struct {
+	Header
+	Rows []byte `json:"rows"`
+}
+
+// RetainedShard is what a finished group keeps of one shard: its
+// header, the length of its row bytes and their SHA-256. The rows
+// themselves are not kept; eight retained groups of them would pin
+// over 100 MB.
+type RetainedShard struct {
+	Header
+	RowsBytes  int    `json:"rows_bytes"`
+	RowsSHA256 string `json:"rows_sha256"`
+}
+
+// ShardSet is the retained shard set of one assembled group, in shard
+// order: the document GET /v1/cluster/shards/{digest} serves and
+// obscheck -shard validates.
 type ShardSet struct {
-	Schema    string            `json:"schema"`
-	Group     string            `json:"group"`
-	Instances int               `json:"instances"`
-	Shards    []json.RawMessage `json:"shards"`
+	Schema    string          `json:"schema"`
+	Group     string          `json:"group"`
+	Instances int             `json:"instances"`
+	Shards    []RetainedShard `json:"shards"`
 }
 
 // Options configures a Coordinator.
@@ -148,7 +202,7 @@ type Options struct {
 	// its group fails — the backstop against a shard that crashes every
 	// worker. Default 5.
 	MaxAttempts int
-	// Retain bounds how many finished groups keep their partial sets
+	// Retain bounds how many assembled groups keep their shard sets
 	// queryable via ShardSet. Default 8.
 	Retain int
 	// Now injects a clock for deterministic tests.
@@ -170,7 +224,6 @@ type task struct {
 
 type group struct {
 	id        string
-	instances int
 	results   []json.RawMessage
 	remaining int
 	err       error
@@ -197,7 +250,7 @@ type Coordinator struct {
 	groups   map[string]*group
 	retained []*ShardSet // most recent finished groups, oldest first
 
-	enqueued, completed, steals, expiries, stale int64
+	enqueued, completed, steals, renewals, expiries, stale int64
 }
 
 // New builds a coordinator and registers its queue gauges with the
@@ -300,6 +353,30 @@ func (c *Coordinator) Lease(node string) (Lease, bool, error) {
 	return Lease{Task: t.t, Token: t.token, Expires: t.expires}, true, nil
 }
 
+// Renew extends a lease its holder is still computing by one TTL from
+// now. The token must match the current lease exactly, as for
+// Complete; a lease that already expired (and possibly re-queued or
+// went to another worker) is not revived, but refused with
+// ErrStaleLease.
+func (c *Coordinator) Renew(node, taskID, token string) (Lease, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.nodes[node]; !ok {
+		return Lease{}, ErrUnknownNode
+	}
+	now := c.now()
+	c.nodes[node] = now
+	c.expireLocked(now)
+	t, ok := c.leased[taskID]
+	if !ok || t.token != token || t.node != node {
+		return Lease{}, ErrStaleLease
+	}
+	t.expires = now.Add(c.ttl)
+	c.renewals++
+	obs.Default().Counter("shard.lease_renewals").Add(1)
+	return Lease{Task: t.t, Token: t.token, Expires: t.expires}, nil
+}
+
 // Complete reports a task's outcome. The fencing token must match the
 // current lease exactly; a stale token (expired and re-queued or
 // re-leased) is rejected with ErrStaleLease and the result discarded,
@@ -393,29 +470,22 @@ func (c *Coordinator) dropGroupTasksLocked(id string) {
 
 func (c *Coordinator) finishGroupLocked(g *group) {
 	delete(c.groups, g.id)
-	if g.err == nil {
-		set := &ShardSet{Schema: statlib.SchemaShard, Group: g.id, Instances: g.instances, Shards: g.results}
-		c.retained = append(c.retained, set)
-		if len(c.retained) > c.retain {
-			c.retained = c.retained[len(c.retained)-c.retain:]
-		}
-	}
 	close(g.done)
 }
 
 // Run enqueues a task group and blocks until every task completed, the
 // group failed, or ctx is cancelled (which drops the group's tasks).
-// Results are returned indexed by shard, not by completion order. The
+// Results are returned indexed by shard, not by completion order; a
+// characterize group's go to Assemble. The
 // wait loop ticks at a fraction of the lease TTL to expire abandoned
 // leases even when no worker is polling, and fails the group with
 // ErrNoWorkers if it stalls with no live workers at all.
-func (c *Coordinator) Run(ctx context.Context, id string, instances int, tasks []Task) ([]json.RawMessage, error) {
+func (c *Coordinator) Run(ctx context.Context, id string, tasks []Task) ([]json.RawMessage, error) {
 	if len(tasks) == 0 {
 		return nil, errors.New("shard: empty task group")
 	}
 	g := &group{
 		id:        id,
-		instances: instances,
 		results:   make([]json.RawMessage, len(tasks)),
 		remaining: len(tasks),
 		done:      make(chan struct{}),
@@ -498,12 +568,13 @@ func (c *Coordinator) Stats() Stats {
 		Enqueued:      c.enqueued,
 		Completed:     c.completed,
 		Steals:        c.steals,
+		LeaseRenewals: c.renewals,
 		LeaseExpiries: c.expiries,
 		StaleRejected: c.stale,
 	}
 }
 
-// ShardSets lists the retained finished groups, most recent last.
+// ShardSets lists the retained assembled groups, most recent last.
 func (c *Coordinator) ShardSets() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -514,7 +585,7 @@ func (c *Coordinator) ShardSets() []string {
 	return out
 }
 
-// ShardSet returns the retained partial set of a finished group.
+// ShardSet returns the retained shard set of an assembled group.
 func (c *Coordinator) ShardSet(id string) (*ShardSet, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -526,12 +597,102 @@ func (c *Coordinator) ShardSet(id string) (*ShardSet, bool) {
 	return nil, false
 }
 
-// CharTasks tiles a characterize job into shard tasks. The split is a
-// pure function of (n, size) — never of worker count or timing — which
-// is half of the determinism argument; the other half is the
-// fixed-order merge.
+// Assemble checks the results of a finished characterize group and
+// copies their rows into one n×width sample matrix (rows are views into
+// one slab), then retains the group's shard set. raws must be indexed
+// by shard, as Run returns them. Every document must carry the schema,
+// library, instance count and width the caller expects, claim the
+// set's shard count and its own position, continue the tiling of
+// [0, n) where the previous shard ended, and hold exactly Hi-Lo rows;
+// anything else fails the whole group, so a lost, duplicated or
+// misplaced shard can never reach the fold.
+func (c *Coordinator) Assemble(group, library string, n, width int, raws []json.RawMessage) ([][]float64, error) {
+	slab := make([]float64, n*width)
+	set := &ShardSet{Schema: Schema, Group: group, Instances: n, Shards: make([]RetainedShard, len(raws))}
+	next := 0
+	for i, raw := range raws {
+		var doc Rows
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&doc); err != nil {
+			return nil, fmt.Errorf("shard %d: decode: %w", i, err)
+		}
+		h := doc.Header
+		switch {
+		case h.Schema != Schema:
+			return nil, fmt.Errorf("shard %d: schema %q, want %q", i, h.Schema, Schema)
+		case h.Library != library:
+			return nil, fmt.Errorf("shard %d: library %q, want %q", i, h.Library, library)
+		case h.N != n:
+			return nil, fmt.Errorf("shard %d: %d instances, want %d", i, h.N, n)
+		case h.Shards != len(raws):
+			return nil, fmt.Errorf("shard %d: claims %d shards, set has %d", i, h.Shards, len(raws))
+		case h.Index != i:
+			return nil, fmt.Errorf("shard %d: document is shard %d", i, h.Index)
+		case h.Lo != next || h.Hi <= h.Lo || h.Hi > n:
+			return nil, fmt.Errorf("shard %d: range [%d,%d) does not continue [0,%d) of %d", i, h.Lo, h.Hi, next, n)
+		case h.Width != width:
+			return nil, fmt.Errorf("shard %d: rows %d wide, want %d", i, h.Width, width)
+		case len(doc.Rows) != (h.Hi-h.Lo)*width*8:
+			return nil, fmt.Errorf("shard %d: %d row bytes, want %d rows of %d entries", i, len(doc.Rows), h.Hi-h.Lo, width)
+		}
+		dst := slab[h.Lo*width : h.Hi*width]
+		for k := range dst {
+			dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(doc.Rows[8*k:]))
+		}
+		set.Shards[i] = RetainedShard{Header: h, RowsBytes: len(doc.Rows), RowsSHA256: digest.Bytes(doc.Rows)}
+		next = h.Hi
+	}
+	if next != n {
+		return nil, fmt.Errorf("shards end at %d, want %d", next, n)
+	}
+	c.mu.Lock()
+	c.retained = append(c.retained, set)
+	if len(c.retained) > c.retain {
+		c.retained = c.retained[len(c.retained)-c.retain:]
+	}
+	c.mu.Unlock()
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows, nil
+}
+
+// encodeRows is the Rows byte encoding of a run of sample rows.
+func encodeRows(rows [][]float64) []byte {
+	size := 0
+	for _, row := range rows {
+		size += 8 * len(row)
+	}
+	b := make([]byte, 0, size)
+	for _, row := range rows {
+		for _, v := range row {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	return b
+}
+
+// ShardRanges tiles [0, n) into contiguous shards of at most size
+// instances (size <= 0 means one shard). The split is a pure function
+// of (n, size), never of worker count or timing, and no split changes
+// a byte of the assembled matrix: size only schedules.
+func ShardRanges(n, size int) [][2]int {
+	if size <= 0 {
+		size = n
+	}
+	var out [][2]int
+	for lo := 0; lo < n; lo += size {
+		out = append(out, [2]int{lo, min(lo+size, n)})
+	}
+	return out
+}
+
+// CharTasks tiles a characterize job into shard tasks over
+// ShardRanges(n, size).
 func CharTasks(group, library, corner string, seed int64, charNoise float64, n, size int) []Task {
-	ranges := statlib.ShardRanges(n, size)
+	ranges := ShardRanges(n, size)
 	tasks := make([]Task, len(ranges))
 	for i, r := range ranges {
 		tasks[i] = Task{

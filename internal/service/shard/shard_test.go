@@ -4,7 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -33,9 +34,21 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func result(i int) json.RawMessage {
-	return json.RawMessage(fmt.Sprintf(`{"shard":%d}`, i))
+// rowsDoc is a one-entry-wide Rows document for shard index of the
+// given split of [0, n), row i holding base+i.
+func rowsDoc(index, shards, n, lo, hi int, base float64) json.RawMessage {
+	rows := make([][]float64, hi-lo)
+	for k := range rows {
+		rows[k] = []float64{base + float64(lo+k)}
+	}
+	return mustJSON(Rows{
+		Header: Header{Schema: Schema, Library: "stat", N: n, Shards: shards, Index: index, Lo: lo, Hi: hi, Width: 1},
+		Rows:   encodeRows(rows),
+	})
 }
+
+// result is shard i's document of the 8-instance, 4-shard split.
+func result(i int) json.RawMessage { return rowsDoc(i, 4, 8, 2*i, 2*i+2, 0) }
 
 // TestKillWorkerMidJob is the deterministic version of the chaos
 // smoke's kill: worker A leases a shard and dies silently; the lease
@@ -59,7 +72,7 @@ func TestKillWorkerMidJob(t *testing.T) {
 	}
 	done := make(chan runOut, 1)
 	go func() {
-		rs, err := c.Run(context.Background(), "g1", 8, tasks)
+		rs, err := c.Run(context.Background(), "g1", tasks)
 		done <- runOut{rs, err}
 	}()
 
@@ -118,7 +131,7 @@ func TestKillWorkerMidJob(t *testing.T) {
 		t.Fatalf("stale_rejected=%d, want 1", st.StaleRejected)
 	}
 
-	bBytes := json.RawMessage(`{"shard":1,"recomputed":true}`)
+	bBytes := rowsDoc(1, 4, 8, 2, 4, 100) // B's recomputation, told apart by its values
 	if err := c.Complete(b, steal.Task.ID, steal.Token, bBytes, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +150,19 @@ func TestKillWorkerMidJob(t *testing.T) {
 		}
 	}
 
-	// The finished set is retained for obscheck -shard.
+	// Every row is counted exactly once, rows 2-3 from B's recomputation,
+	// and the assembled set is retained for obscheck -shard.
+	rows, err := c.Assemble("g1", "stat", 8, 1, out.results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{0, 1, 102, 103, 4, 5, 6, 7} {
+		if rows[i][0] != want {
+			t.Fatalf("row %d = %v, want %v", i, rows[i][0], want)
+		}
+	}
 	set, ok := c.ShardSet("g1")
-	if !ok || set.Schema == "" || set.Instances != 8 || len(set.Shards) != 4 {
+	if !ok || set.Schema != Schema || set.Instances != 8 || len(set.Shards) != 4 {
 		t.Fatalf("ShardSet: ok=%v set=%+v", ok, set)
 	}
 }
@@ -152,7 +175,7 @@ func TestRunNoWorkersStalls(t *testing.T) {
 	tasks := CharTasks("g", "stat", "typical", 1, 0.02, 4, 2)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Run(context.Background(), "g", 4, tasks)
+		_, err := c.Run(context.Background(), "g", tasks)
 		errc <- err
 	}()
 	// Jump past the liveness window (only after the group is queued, so
@@ -177,7 +200,7 @@ func TestRunCancelDropsTasks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Run(ctx, "g", 4, CharTasks("g", "stat", "typical", 1, 0.02, 4, 2))
+		_, err := c.Run(ctx, "g", CharTasks("g", "stat", "typical", 1, 0.02, 4, 2))
 		errc <- err
 	}()
 	waitFor(t, func() bool { return c.Stats().QueueDepth == 2 })
@@ -198,7 +221,7 @@ func TestTaskAttemptBound(t *testing.T) {
 	n := c.Register("crashy", "").Node
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Run(context.Background(), "g", 2, CharTasks("g", "stat", "typical", 1, 0.02, 2, 2))
+		_, err := c.Run(context.Background(), "g", CharTasks("g", "stat", "typical", 1, 0.02, 2, 2))
 		errc <- err
 	}()
 	waitFor(t, func() bool { return c.Stats().QueueDepth == 1 })
@@ -232,6 +255,109 @@ func TestLeaseUnknownNode(t *testing.T) {
 	if err := c.Complete("ghost", "t", "tok", nil, ""); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("err = %v, want ErrUnknownNode", err)
 	}
+}
+
+// TestLeaseRenewalOutlastsTTL: a worker whose compute runs for five
+// lease TTLs renews its lease while it computes, so the task completes
+// under its first lease — no expiry, no steal, and a second node
+// polling all along gets nothing. Lease expiry runs on a fake clock
+// that moves only after each renewal lands.
+func TestLeaseRenewalOutlastsTTL(t *testing.T) {
+	clock := newFakeClock()
+	const ttl = 30 * time.Millisecond
+	c := New(Options{LeaseTTL: ttl, Now: clock.Now})
+	ts := httptest.NewServer(protocolMux(c))
+	defer ts.Close()
+	thief := c.Register("thief", "").Node
+
+	release := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	w := &Worker{Base: ts.URL, Name: "slow", Poll: time.Millisecond,
+		exec: func(ctx context.Context, _ Task) (json.RawMessage, error) {
+			select {
+			case <-release:
+				return rowsDoc(0, 1, 2, 0, 2, 0), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}}
+	stopped := make(chan struct{})
+	go func() { defer close(stopped); w.Run(ctx) }()
+	defer func() { cancel(); <-stopped }()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Run(context.Background(), "g", CharTasks("g", "stat", "typical", 1, 0.02, 2, 2))
+		done <- err
+	}()
+	waitFor(t, func() bool { return c.Stats().Leased == 1 })
+
+	// Ten rounds of: a fresh renewal lands, half a TTL passes, the
+	// other node polls. Without renewal the lease would expire in the
+	// third round.
+	for i := 0; i < 10; i++ {
+		before := c.Stats().LeaseRenewals
+		waitFor(t, func() bool { return c.Stats().LeaseRenewals > before })
+		clock.Advance(ttl / 2)
+		if _, ok, err := c.Lease(thief); ok || err != nil {
+			t.Fatalf("round %d: the computing task was leased again (ok=%v err=%v)", i, ok, err)
+		}
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.LeaseExpiries != 0 || st.Steals != 0 || st.Completed != 1 || st.StaleRejected != 0 {
+		t.Fatalf("stats %+v, want 1 completion with no expiry, steal or stale report", st)
+	}
+	// A finished lease is not renewable.
+	if _, err := c.Renew(thief, "g/char/0", "g/char/0#1"); !errors.Is(err, ErrStaleLease) {
+		t.Fatalf("renewing a completed task: err=%v, want ErrStaleLease", err)
+	}
+}
+
+// protocolMux serves the worker protocol over a coordinator with the
+// status mapping the service handler applies.
+func protocolMux(c *Coordinator) http.Handler {
+	reply := func(w http.ResponseWriter, v any, err error) {
+		switch {
+		case errors.Is(err, ErrStaleLease):
+			w.WriteHeader(http.StatusConflict)
+		case errors.Is(err, ErrUnknownNode):
+			w.WriteHeader(http.StatusNotFound)
+		case err != nil:
+			w.WriteHeader(http.StatusInternalServerError)
+		default:
+			json.NewEncoder(w).Encode(v)
+		}
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/cluster/nodes", func(w http.ResponseWriter, r *http.Request) {
+		var req RegisterRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		reply(w, c.Register(req.Name, req.PeerAddr), nil)
+	})
+	mux.HandleFunc("POST /v1/cluster/lease", func(w http.ResponseWriter, r *http.Request) {
+		var req LeaseRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		if req.Task != "" {
+			l, err := c.Renew(req.Node, req.Task, req.Token)
+			reply(w, l, err)
+			return
+		}
+		l, ok, err := c.Lease(req.Node)
+		if err == nil && !ok {
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		reply(w, l, err)
+	})
+	mux.HandleFunc("POST /v1/cluster/complete", func(w http.ResponseWriter, r *http.Request) {
+		var req CompleteRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		reply(w, CompleteResponse{OK: true}, c.Complete(req.Node, req.Task, req.Token, req.Result, req.Error))
+	})
+	return mux
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -11,24 +11,21 @@ import (
 	"sync"
 	"time"
 
-	"stdcelltune/internal/liberty"
 	"stdcelltune/internal/obs"
-	"stdcelltune/internal/statlib"
 	"stdcelltune/internal/stdcell"
 	"stdcelltune/internal/variation"
 )
 
-// Executor computes shard tasks. It is the same fold a single-node
-// characterization performs — variation.Instance per index, streamed
-// through Welford accumulators — restricted to the task's [Lo, Hi)
-// slice, so a shard's samples are bit-identical to the ones the
-// single-node path would have folded at the same indexes.
+// Executor computes shard tasks: a characterize task's rows [Lo, Hi)
+// of the delay-sample matrix, from the row generator a single node uses
+// (variation.SampleRows), so each row is bit-identical to the one the
+// single-node path would have generated at the same index.
 type Executor struct {
 	// SimCharLatency, when positive, sleeps this long per generated
-	// instance, modeling an external characterizer (a SPICE run per
-	// instance) whose latency — not local CPU — bounds the fold. It is
+	// row, modeling an external characterizer (a SPICE run per
+	// instance) whose latency — not local CPU — bounds the work. It is
 	// the knob the cluster benchmarks use to measure scheduling speedup
-	// honestly on a single-core CI box.
+	// honestly on a small CI box, and it never changes a byte.
 	SimCharLatency time.Duration
 
 	mu   sync.Mutex
@@ -61,8 +58,8 @@ func cornerFromSlug(slug string) (stdcell.Corner, bool) {
 	return 0, false
 }
 
-// Execute runs one task and returns its serialized result (a
-// statlib.Partial for characterize tasks).
+// Execute runs one task and returns its serialized result (a Rows
+// document for characterize tasks).
 func (e *Executor) Execute(ctx context.Context, t Task) (json.RawMessage, error) {
 	if t.Char == nil {
 		return nil, fmt.Errorf("shard: task %s carries no payload", t.ID)
@@ -73,21 +70,20 @@ func (e *Executor) Execute(ctx context.Context, t Task) (json.RawMessage, error)
 		return nil, fmt.Errorf("shard: task %s has unknown corner %q", t.ID, ct.Corner)
 	}
 	cat := e.catalogue(corner)
-	sm := variation.NewSampler(ct.Seed)
 	cfg := variation.Config{N: ct.N, Seed: ct.Seed, CharNoise: ct.CharNoise}
-	gen := func(i int) (*liberty.Library, error) {
-		if err := sleepCtx(ctx, e.SimCharLatency); err != nil {
-			return nil, err
-		}
-		return variation.Instance(cat, sm, i, cfg), nil
-	}
-	p, err := statlib.FoldShard(ct.Library, ct.N, ct.Shards, ct.Index, ct.Lo, ct.Hi, gen)
+	rows, err := variation.SampleRows(ctx, cat, cfg, ct.Lo, ct.Hi, e.SimCharLatency)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := json.Marshal(p)
+	raw, err := json.Marshal(Rows{
+		Header: Header{
+			Schema: Schema, Library: ct.Library, N: ct.N, Shards: ct.Shards, Index: ct.Index,
+			Lo: ct.Lo, Hi: ct.Hi, Width: cat.Layout().Entries,
+		},
+		Rows: encodeRows(rows),
+	})
 	if err != nil {
-		return nil, fmt.Errorf("shard: encode partial: %w", err)
+		return nil, fmt.Errorf("shard: encode rows: %w", err)
 	}
 	return raw, nil
 }
@@ -127,6 +123,9 @@ type Worker struct {
 	Poll time.Duration
 	// Client is the HTTP client; default has a 30s timeout.
 	Client *http.Client
+
+	// exec, when set, replaces Exec.Execute (tests).
+	exec func(context.Context, Task) (json.RawMessage, error)
 }
 
 // Run executes the worker loop until ctx is cancelled. Only a nil or
@@ -140,6 +139,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	log := obs.Log().With("worker", w.Name, "coordinator", w.Base)
 
 	node := ""
+	var ttl time.Duration
 	backoff := poll
 	for ctx.Err() == nil {
 		if node == "" {
@@ -154,12 +154,12 @@ func (w *Worker) Run(ctx context.Context) error {
 				}
 				continue
 			}
-			node = reg.Node
+			node, ttl = reg.Node, reg.LeaseTTLNS
 			backoff = poll
 			log.Info("registered", "node", node, "lease_ttl", reg.LeaseTTLNS.String())
 		}
 
-		lease, ok, err := w.lease(ctx, node)
+		lease, ok, err := w.lease(ctx, LeaseRequest{Node: node})
 		if err != nil {
 			if errors.Is(err, ErrUnknownNode) {
 				log.Warn("coordinator forgot this node; re-registering")
@@ -186,7 +186,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 
-		result, execErr := w.Exec.Execute(ctx, lease.Task)
+		result, execErr := w.execute(ctx, node, lease, ttl)
 		req := CompleteRequest{Node: node, Task: lease.Task.ID, Token: lease.Token}
 		if execErr != nil {
 			if ctx.Err() != nil {
@@ -220,6 +220,45 @@ func (w *Worker) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// execute runs a leased task and, while it computes, renews the lease
+// every ttl/3, so a compute that outlasts the TTL is not mistaken for a
+// dead worker. Renewal stops when the compute returns or ctx ends: a
+// killed worker stops renewing, and its lease expires as before. A
+// refused renewal means the lease is already lost; the compute runs on,
+// and its completion will be refused the same way.
+func (w *Worker) execute(ctx context.Context, node string, l Lease, ttl time.Duration) (json.RawMessage, error) {
+	rctx, stop := context.WithCancel(ctx)
+	renewed := make(chan struct{})
+	go func() {
+		defer close(renewed)
+		if ttl <= 0 {
+			return
+		}
+		tick := time.NewTicker(ttl / 3)
+		defer tick.Stop()
+		for {
+			select {
+			case <-rctx.Done():
+				return
+			case <-tick.C:
+			}
+			_, _, err := w.lease(rctx, LeaseRequest{Node: node, Task: l.Task.ID, Token: l.Token})
+			if errors.Is(err, ErrStaleLease) {
+				obs.Log().Warn("lease lost while computing", "worker", w.Name, "task", l.Task.ID)
+				return
+			}
+		}
+	}()
+	exec := w.exec
+	if exec == nil {
+		exec = w.Exec.Execute
+	}
+	result, err := exec(ctx, l.Task)
+	stop()
+	<-renewed
+	return result, err
+}
+
 func (w *Worker) client() *http.Client {
 	if w.Client != nil {
 		return w.Client
@@ -233,9 +272,11 @@ func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 	return resp, err
 }
 
-func (w *Worker) lease(ctx context.Context, node string) (Lease, bool, error) {
+// lease posts a lease request: a poll for the next task, or a renewal
+// when lr names a task and token.
+func (w *Worker) lease(ctx context.Context, lr LeaseRequest) (Lease, bool, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+"/v1/cluster/lease",
-		bytes.NewReader(mustJSON(LeaseRequest{Node: node})))
+		bytes.NewReader(mustJSON(lr)))
 	if err != nil {
 		return Lease{}, false, err
 	}
@@ -255,6 +296,9 @@ func (w *Worker) lease(ctx context.Context, node string) (Lease, bool, error) {
 			return Lease{}, false, fmt.Errorf("shard: decode lease: %w", err)
 		}
 		return l, true, nil
+	case http.StatusConflict:
+		io.Copy(io.Discard, res.Body)
+		return Lease{}, false, ErrStaleLease
 	case http.StatusNotFound:
 		io.Copy(io.Discard, res.Body)
 		return Lease{}, false, ErrUnknownNode

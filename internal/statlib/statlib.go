@@ -386,10 +386,9 @@ func foldSampleCell(lc stdcell.LayoutCell, rows [][]float64, buf []float64, slab
 // The reduction is the exact two-pass accumulation dist.MeanStdDev
 // performs — sum in instance order, divide once, then sum the squared
 // deviations in the same order — so it is bitwise-identical to the
-// buffered form the pipeline's recorded outputs depend on (see
-// dist.Welford for why the single-pass streaming accumulator is not
-// used here). An entry needs at least two usable samples (see
-// usableSample) to have statistics at all.
+// buffered form the pipeline's recorded outputs depend on. An entry
+// needs at least two usable samples (see usableSample) to have
+// statistics at all.
 func foldTable(slab *lut.Slab, loads, slews, buf []float64, gather func(i, j int)) (mean, sigma *lut.Table, err error) {
 	mean = lut.NewIn(slab, loads, slews)
 	sigma = lut.NewIn(slab, loads, slews)

@@ -344,3 +344,41 @@ func TestConvergenceWithSamples(t *testing.T) {
 		t.Errorf("N=120 error %.3f too large", e120)
 	}
 }
+
+// TestBuildSlabBacking pins the tentpole invariant: every table of a
+// built library is a view into the library's contiguous slab, and the
+// pre-computed size hint lands the whole fold in a single chunk.
+func TestBuildSlabBacking(t *testing.T) {
+	_, sl := buildSmall(t, 5)
+	if sl.slab == nil {
+		t.Fatal("built library has no slab")
+	}
+	tables, floats, chunks := sl.slab.Stats()
+	if chunks != 1 {
+		t.Errorf("slab spilled into %d chunks (hint under-estimated)", chunks)
+	}
+	if tables == 0 || floats == 0 {
+		t.Fatalf("slab carved nothing: %d tables, %d floats", tables, floats)
+	}
+	wantTables, wantFloats := 0, 0
+	for _, c := range sl.Cells {
+		for _, p := range c.Pins {
+			for _, a := range p.Arcs {
+				for _, tb := range []*lut.Table{a.MeanRise, a.MeanFall, a.SigmaRise, a.SigmaFall} {
+					if tb == nil {
+						continue
+					}
+					if !tb.Contiguous() {
+						t.Fatalf("%s/%s: non-contiguous table", c.Name, p.Name)
+					}
+					wantTables++
+					wantFloats += len(tb.Loads) * len(tb.Slews)
+				}
+			}
+		}
+	}
+	if tables != wantTables || floats != wantFloats {
+		t.Errorf("slab stats (%d tables, %d floats) != library volume (%d, %d)",
+			tables, floats, wantTables, wantFloats)
+	}
+}

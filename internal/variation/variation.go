@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"time"
 
 	"stdcelltune/internal/dist"
 	"stdcelltune/internal/liberty"
@@ -116,8 +117,7 @@ func (sm *Sampler) Global(instance int, sigma float64) float64 {
 // cell's local mismatch sample (plus optional characterization noise and
 // global factor). Clean characterization folds SamplesCtx instead; the
 // libraries are for callers that need the instances themselves
-// (writing .lib files, fault injection, the streaming and sharded
-// folds).
+// (writing .lib files, fault injection).
 func Instances(cat *stdcell.Catalogue, cfg Config) []*liberty.Library {
 	libs, _ := InstancesCtx(context.Background(), cat, cfg)
 	return libs
@@ -150,29 +150,65 @@ func Instance(cat *stdcell.Catalogue, sm *Sampler, i int, cfg Config) *liberty.L
 // matrix instead of Liberty libraries: row i holds instance i's delay
 // entries in cat.Layout() order, bit-identical to the nominal delay
 // tables Instance(cat, sm, i, cfg) would build (the same perturbation,
-// with its noise stream consumed in the same order). The rows are views
-// into one contiguous N×E slab. They run on the same pool as
-// InstancesCtx; on cancellation the partial matrix is discarded and
-// ctx's error returned.
+// with its noise stream consumed in the same order). It is SampleRows
+// over [0, cfg.N) with no pacing.
 //
 // This is what clean characterization folds (statlib.FoldSamples):
 // the fold reads only the delay tables, so the transition, power and
 // constraint tables, function strings and pin lists of 50 libraries
 // are never built.
 func SamplesCtx(ctx context.Context, cat *stdcell.Catalogue, cfg Config) ([][]float64, error) {
+	return SampleRows(ctx, cat, cfg, 0, cfg.N, 0)
+}
+
+// SampleRows generates rows [lo, hi) of the delay-sample matrix:
+// element k of the result is instance lo+k. An instance's draws depend
+// only on (seed, instance, cell), never on cfg.N or on the range, so
+// row i is the same bits whichever range, process or node generates
+// it; this is what lets the cluster tier split the matrix into shards.
+// The rows are views into one contiguous slab and generate on the
+// shared worker pool; on cancellation the partial matrix is discarded
+// and ctx's error returned.
+//
+// pace, when positive, is slept before each row. It stands in for an
+// external characterizer (one SPICE run per instance) whose latency,
+// not local CPU, bounds characterization: it changes when rows are
+// ready, never their bytes.
+func SampleRows(ctx context.Context, cat *stdcell.Catalogue, cfg Config, lo, hi int, pace time.Duration) ([][]float64, error) {
+	if lo < 0 || hi < lo {
+		return nil, fmt.Errorf("variation: sample range [%d,%d) invalid", lo, hi)
+	}
 	sm := NewSampler(cfg.Seed)
 	e := cat.Layout().Entries
-	slab := make([]float64, cfg.N*e)
-	rows := make([][]float64, cfg.N)
-	err := robust.ForEachNamed(ctx, "variation.instances", robust.DefaultWorkers(), cfg.N, func(ctx context.Context, i int) error {
-		rows[i] = slab[i*e : (i+1)*e : (i+1)*e]
-		cat.DelaySamples(rows[i], instancePerturb(cat, sm, i, cfg))
+	slab := make([]float64, (hi-lo)*e)
+	rows := make([][]float64, hi-lo)
+	err := robust.ForEachNamed(ctx, "variation.instances", robust.DefaultWorkers(), hi-lo, func(ctx context.Context, k int) error {
+		if err := sleep(ctx, pace); err != nil {
+			return err
+		}
+		rows[k] = slab[k*e : (k+1)*e : (k+1)*e]
+		cat.DelaySamples(rows[k], instancePerturb(cat, sm, lo+k, cfg))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// sleep waits d, or until ctx is done; a non-positive d returns at once.
+func sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // instancePerturb is the delay perturbation of the i-th Monte-Carlo

@@ -1,9 +1,11 @@
 package variation
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"stdcelltune/internal/dist"
 	"stdcelltune/internal/stdcell"
@@ -187,5 +189,48 @@ func TestSamplerCellAllocFree(t *testing.T) {
 	// NewRNG(7) of the baseline as slack, so key building is provably 0.
 	if got > base {
 		t.Fatalf("Cell allocates %.1f/op, fork baseline %.1f/op — key building is allocating", got, base)
+	}
+}
+
+// TestSampleRowsIsARangeOfSamples: any row range, generated under any
+// cfg.N and with or without pacing, is bit for bit the same rows of
+// the whole matrix — the property the cluster tier's shard split rests
+// on.
+func TestSampleRowsIsARangeOfSamples(t *testing.T) {
+	ctx := context.Background()
+	cat := stdcell.NewCatalogue(stdcell.Typical)
+	cfg := Config{N: 7, Seed: 3, CharNoise: 0.02}
+	whole, err := SamplesCtx(ctx, cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		lo, hi, n int
+		pace      time.Duration
+	}{{0, 7, 7, 0}, {2, 5, 7, 0}, {6, 7, 2, 0}, {3, 6, 50, time.Microsecond}, {4, 4, 7, 0}} {
+		c := cfg
+		c.N = r.n
+		rows, err := SampleRows(ctx, cat, c, r.lo, r.hi, r.pace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != r.hi-r.lo {
+			t.Fatalf("[%d,%d): %d rows", r.lo, r.hi, len(rows))
+		}
+		for k, row := range rows {
+			for e, v := range row {
+				if math.Float64bits(v) != math.Float64bits(whole[r.lo+k][e]) {
+					t.Fatalf("[%d,%d) N=%d: row %d entry %d differs from the whole matrix", r.lo, r.hi, r.n, r.lo+k, e)
+				}
+			}
+		}
+	}
+	if _, err := SampleRows(ctx, cat, cfg, 3, 2, 0); err == nil {
+		t.Error("inverted range generated")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := SampleRows(cancelled, cat, cfg, 0, 4, time.Millisecond); err == nil {
+		t.Error("cancelled generation returned rows")
 	}
 }

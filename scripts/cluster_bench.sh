@@ -5,12 +5,13 @@
 # "characterize" span duration from each job's trace.
 #
 # The container CI runs on has one CPU, so raw compute cannot speed up
-# by adding local workers: instance generation (~20ms/instance of
-# library synthesis) and partial JSON stay serialized on the one core
-# whichever process runs them. The benchmark therefore models the
-# regime cluster mode exists for: characterization dominated by
-# per-instance external-simulator latency, injected with
-# -simcharlatency. Sleeps overlap across worker processes the same way
+# by adding local workers: sample-row generation and the row JSON stay
+# serialized on the one core whichever process runs them. The
+# benchmark therefore models the regime cluster mode exists for:
+# characterization dominated by per-instance external-simulator
+# latency, injected with -simcharlatency, a sleep per generated row in
+# the one row generator (single node and workers alike, each at its
+# pool width). Sleeps overlap across worker processes the same way
 # remote SPICE calls overlap across real machines, so the curve
 # measures exactly what the sharding tier buys — overlap of
 # characterizer waits plus coordinator overhead — and is honest about
@@ -56,9 +57,10 @@ run_case() {
     mkdir -p "$sub"
     pids=""
     if [ "$nw" -gt 0 ]; then
-        # The lease TTL must exceed one shard's worth of simulated
-        # latency (SHARDSIZE x SIMLAT) or every lease expires mid-fold
-        # and the job spins on steals of its own unfinished shards.
+        # Workers renew their leases while they compute, so the TTL
+        # need not cover a shard's simulated latency (SHARDSIZE x
+        # SIMLAT); the long TTL only keeps a stalled renewal from
+        # costing a steal mid-measurement.
         "$DIR/stcd" -addr 127.0.0.1:0 -addrfile "$sub/addr" -cachedir "$sub/cache" \
             -cluster -shardsize "$SHARDSIZE" -leasetimeout 2m -simcharlatency "$SIMLAT" >"$sub/stcd.log" 2>&1 &
     else
@@ -129,7 +131,7 @@ say "speedup vs single-node: 1w=${SP1}x 2w=${SP2}x 4w=${SP4}x"
 cat >"$OUT" <<EOF
 {
   "schema": "stdcelltune-bench/1",
-  "note": "Sharded cluster characterization scaling (PR 9): one mcu-small characterize of N=$N Monte-Carlo instances with $SIMLAT/instance simulated external-characterizer latency (-simcharlatency), shard size $SHARDSIZE, coordinator and workers all on localhost. The CI container has a single CPU, so the benchmark is deliberately latency-bound: -simcharlatency stands in for the per-instance external simulator wait that dominates real characterization, and worker processes overlap those waits exactly as remote machines would, while the ~4s of per-run instance-generation CPU and the per-shard partial JSON stay serialized on the one core whichever process runs them (that serialized floor, not the scheduler, is what keeps the curve below ideal). Durations are the 'characterize' span from GET /v1/jobs/{id}/trace. CPU-bound scaling is not measured here and needs a multi-core host.",
+  "note": "Sharded cluster characterization scaling: one mcu-small characterize of N=$N Monte-Carlo instances with $SIMLAT/instance simulated external-characterizer latency (-simcharlatency), shard size $SHARDSIZE, coordinator and workers all on localhost. The CI container has a single CPU, so the benchmark is deliberately latency-bound: -simcharlatency stands in for the per-instance external simulator wait that dominates real characterization, and worker processes overlap those waits exactly as remote machines would, while the per-run row-generation CPU and the per-shard row JSON stay serialized on the one core whichever process runs them (that serialized floor, not the scheduler, is what keeps the curve below ideal). Durations are the 'characterize' span from GET /v1/jobs/{id}/trace. CPU-bound scaling is not measured here and needs a multi-core host.",
   "benchmarks": {
     "ClusterCharacterizeN${N}W1": {
       "ns_per_op": $W1_NS,

@@ -1,14 +1,14 @@
 #!/bin/sh
 # cluster_smoke.sh — end-to-end smoke of sharded cluster
-# characterization, the assertion half being cmd/obscheck. Three phases
+# characterization, the assertion half being cmd/obscheck. Four phases
 # against real stcd processes on ephemeral ports:
 #
 #   1. reference: a coordinator (-cluster) plus two workers run a
 #      32-instance characterize; the job completes as a cache miss, the
 #      shard stats balance (enqueued == completed, queue drained), the
-#      retained shard set validates (obscheck -shard: fixed merge
-#      order, tiling, counts summing to N), and the artifact hashes are
-#      recorded as the reference;
+#      retained shard set validates (obscheck -shard: fixed assembly
+#      order, exact tiling of [0, N), Hi-Lo rows of one width per
+#      shard), and the artifact hashes are recorded as the reference;
 #   2. chaos: a fresh coordinator with one worker; the worker is
 #      SIGKILLed mid-shard, a second worker joins, and the job must
 #      still complete with artifact hashes identical to phase 1 —
@@ -17,7 +17,10 @@
 #      on /v1/cluster and the shard_* series on /metrics;
 #   3. peer tier: a third node with -peers pointing at the phase-2
 #      coordinator resolves the same spec as cache_outcome "peer" with
-#      identical hashes — no recomputation, SHA-256-verified fill.
+#      identical hashes — no recomputation, SHA-256-verified fill;
+#   4. single node: a plain stcd (no -cluster, no -peers) computes the
+#      spec itself, a cache miss, with hashes identical to phase 1 —
+#      one digest names one byte string, whoever computed it.
 #
 # The second worker of phase 2 joins only after the kill so the lease
 # holder's identity is deterministic: the victim provably dies holding
@@ -193,5 +196,17 @@ cmp -s "$DIR/ref.hashes" "$DIR/peer.hashes" || die "peer-filled artifact hashes 
 "$DIR/obscheck" -apijob "$DIR/job3.json" || die "phase-3 job document invalid"
 curl -fsS "$n3_BASE/metrics" | grep '^cache_peer_hits' >/dev/null || die "no cache_peer_hits series on /metrics"
 say "phase 3: peer fill verified, hashes identical"
+
+# --- Phase 4: plain single node ---------------------------------------
+say "phase 4: plain stcd computes the spec alone"
+start_node n4
+JOB4=$(submit "$n4_BASE")
+await "$n4_BASE" "$JOB4" "$DIR/job4.json"
+[ "$(outcome "$DIR/job4.json")" = "miss" ] || die "phase-4 outcome $(outcome "$DIR/job4.json"), want miss"
+[ "$(digest "$DIR/job4.json")" = "$DIG" ] || die "phase-4 digest diverged"
+hashes "$n4_BASE" "$DIG" >"$DIR/single.hashes"
+cmp -s "$DIR/ref.hashes" "$DIR/single.hashes" ||
+    die "single-node artifact hashes differ from the cluster's: $(diff "$DIR/ref.hashes" "$DIR/single.hashes" || true)"
+say "phase 4: single-node hashes identical to the cluster's"
 
 say "OK (workdir $DIR)"
