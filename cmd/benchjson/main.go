@@ -1,12 +1,13 @@
 // Command benchjson turns `go test -bench -benchmem` output into the
-// repo's benchmark JSON trajectory (BENCH_PR3.json). It reads the
+// repo's benchmark JSON trajectory (BENCH_PR7.json, the ledger
+// `make bench-json` and `make bench-check` use). It reads the
 // benchmark output on stdin and merges the parsed numbers into -out,
 // preserving everything already recorded there (other benchmarks,
 // phase timings, the seed baselines).
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem . | go run ./cmd/benchjson -out BENCH_PR3.json
+//	go test -run '^$' -bench . -benchmem . | go run ./cmd/benchjson -out BENCH_PR7.json
 //	... -baseline   # record the numbers as the seed baseline instead
 //
 // With -baseline the numbers land in the baseline_* fields; without it
@@ -27,7 +28,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("out", "BENCH_PR3.json", "benchmark JSON file to merge into")
+	out := flag.String("out", "BENCH_PR7.json", "benchmark JSON file to merge into")
 	baseline := flag.Bool("baseline", false, "record parsed numbers as the seed baseline instead of the current numbers")
 	note := flag.String("note", "", "free-form note stored in the file (machine, scale, date)")
 	flag.Parse()

@@ -9,7 +9,7 @@
 //	experiments -out results/
 //	experiments -seed 7         # reseed the Monte-Carlo characterization
 //	experiments -faultrate 0.05 # corrupt 5% of LUT entries (robustness demo)
-//	experiments -benchjson BENCH_PR3.json  # perf phase report + JSON
+//	experiments -benchjson BENCH_PR7.json  # perf phase report + JSON
 //	experiments -cpuprofile cpu.pprof -memprofile mem.pprof
 //	experiments -trace trace.json          # Chrome trace-event JSON + run manifest
 //	experiments -debugaddr localhost:6060  # live expvar/pprof/obs endpoints

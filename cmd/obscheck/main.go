@@ -470,6 +470,15 @@ func main() {
 		if inFlight == 0 {
 			fail("%s: no http_in_flight_requests series", *metricsPath)
 		}
+		// The artifact cache's residency series: the byte budget is only
+		// observable through them, so losing one must fail the smoke.
+		for _, want := range []struct{ name, typ string }{
+			{"cache_resident_bytes", "gauge"}, {"cache_disk_reads", "counter"},
+		} {
+			if types[want.name] != want.typ || !hasSample(samples, want.name) {
+				fail("%s: no %s %s series", *metricsPath, want.name, want.typ)
+			}
+		}
 		fmt.Printf("obscheck: metrics ok: %d samples, %d routes, %d latency families\n",
 			len(samples), len(routes), infBuckets)
 	}
@@ -550,4 +559,14 @@ func keys(m map[string]int) []string {
 		}
 	}
 	return out
+}
+
+// hasSample reports whether the scrape has a sample of the named series.
+func hasSample(samples []obs.PromSample, name string) bool {
+	for _, s := range samples {
+		if s.Name == name {
+			return true
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 // Package perfstat instruments the experiment pipeline with per-phase
 // wall-time and allocation counters and defines the benchmark JSON
-// schema (BENCH_PR3.json) the perf trajectory is tracked in. The
+// schema (BENCH_PR7.json, and the earlier BENCH_PR*.json ledgers) the
+// perf trajectory is tracked in. The
 // collector is cheap enough to stay always-on in exp.Flow; the JSON
 // file is the artifact later scaling PRs are judged against.
 package perfstat
@@ -142,7 +143,7 @@ func (c *Collector) Report() string {
 	return b.String()
 }
 
-// Schema identifies the benchmark JSON (BENCH_PR3.json) layout.
+// Schema identifies the benchmark JSON (BENCH_PR*.json) layout.
 const Schema = "stdcelltune-bench/1"
 
 // BenchResult is one benchmark's numbers, with the optional seed

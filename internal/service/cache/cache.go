@@ -14,14 +14,24 @@
 //     robust pool, via the pipeline), every concurrent caller blocks on
 //     the same in-flight slot, and nobody recomputes.
 //
-// The store is in-memory first with optional directory persistence, so
-// a daemon restart can rehydrate its cache from disk.
+// The store keeps its index in memory — digest to artifact names,
+// sizes and SHA-256 — and, with a directory configured, the blobs on
+// disk. Blob bytes stay resident in an LRU capped at ResidentBudget, so
+// a long-running daemon's memory does not grow with every finished
+// job. An evicted blob is read back from disk and checked against its
+// SHA-256 before it is served; a blob that is gone or altered drops its
+// entry (counted in cache.corrupt_dropped) and answers as a miss, never
+// with wrong bytes. A memory-only store (no directory) keeps every
+// blob. A daemon restart rehydrates the index from disk.
 package cache
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -52,7 +62,26 @@ var (
 	// watch — how often identical specs dedup across nodes.
 	peerHits   = obs.Default().Counter("cache.peer_hits")
 	peerMisses = obs.Default().Counter("cache.peer_misses")
+
+	// Residency: the blob bytes the process's stores hold in memory,
+	// and the evicted blobs read back from disk. A workload whose
+	// libraries fit the budget keeps disk_reads flat.
+	residentBytes = obs.Default().Gauge("cache.resident_bytes")
+	diskReads     = obs.Default().Counter("cache.disk_reads")
 )
+
+// ResidentBudget caps the blob bytes a persistent store keeps in
+// memory. It holds the analyst's six headline libraries (~34 MB) with
+// room to spare. It is not zero on purpose: with every blob dropped the
+// daemon's live heap is so small that the garbage collector runs many
+// more cycles per job, and a cold job got slower, not faster.
+const ResidentBudget = 64 << 20
+
+// ErrLost reports a blob that was evicted from memory and could not be
+// read back intact — missing from disk, or no longer matching its
+// SHA-256. The store has dropped the blob's entry, so the caller should
+// answer as a miss; the next GetOrCompute for the digest recomputes.
+var ErrLost = errors.New("cache: artifact lost")
 
 func init() {
 	obs.Default().GaugeFunc("cache.peer_hit_ratio", func() float64 {
@@ -71,16 +100,26 @@ type Artifact struct {
 	SHA256 string `json:"sha256"`
 	Size   int    `json:"size_bytes"`
 
+	entry *Entry
+	// data is the body while resident, and elem its place in the
+	// store's LRU (nil once evicted); both are guarded by the store's
+	// mutex.
 	data []byte
+	elem *list.Element
 }
 
-// Bytes returns the artifact body. Callers must not mutate it.
-func (a *Artifact) Bytes() []byte { return a.data }
+// Bytes returns the artifact body; callers must not mutate it. A
+// resident body becomes the most recently used. An evicted one is read
+// back from the store's directory and checked against SHA256 first; if
+// that fails, the entry is dropped and the error wraps ErrLost.
+func (a *Artifact) Bytes() ([]byte, error) { return a.entry.store.read(a) }
 
 // Entry is the full artifact set of one request digest.
 type Entry struct {
 	Digest    string
 	Artifacts []*Artifact // sorted by name
+
+	store *Store
 }
 
 // Artifact returns the named artifact, or nil.
@@ -111,12 +150,15 @@ type PeerFetchFunc func(ctx context.Context, dig string) (map[string][]byte, boo
 // Store is the content-addressed artifact store. Safe for concurrent
 // use.
 type Store struct {
-	dir string // "" = memory only
+	dir    string // "" = memory only
+	budget int    // resident blob bytes before the LRU evicts
 
 	mu       sync.Mutex
 	entries  map[string]*Entry
 	inflight map[string]*flight
 	peers    PeerFetchFunc
+	lru      list.List // resident *Artifact, most recently used first
+	resident int
 }
 
 // SetPeerFetch installs the peer tier: on a local miss, GetOrCompute
@@ -130,11 +172,13 @@ func (s *Store) SetPeerFetch(f PeerFetchFunc) {
 }
 
 // New creates a store. A non-empty dir enables persistence: entries are
-// written under dir/<digest-hex>/ and existing entries are rehydrated
-// immediately.
+// written under dir/<digest-hex>/, existing entries are rehydrated into
+// the index immediately, and blob bytes stay resident up to
+// ResidentBudget. A memory-only store keeps every blob.
 func New(dir string) (*Store, error) {
-	s := &Store{dir: dir, entries: make(map[string]*Entry), inflight: make(map[string]*flight)}
+	s := &Store{dir: dir, budget: math.MaxInt, entries: make(map[string]*Entry), inflight: make(map[string]*flight)}
 	if dir != "" {
+		s.budget = ResidentBudget
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
@@ -237,7 +281,7 @@ func (s *Store) GetOrCompute(ctx context.Context, dig string, compute func(conte
 
 	s.mu.Lock()
 	if err == nil {
-		s.entries[dig] = entry
+		s.install(entry)
 	}
 	delete(s.inflight, dig)
 	s.mu.Unlock()
@@ -253,9 +297,110 @@ func (s *Store) Put(dig string, blobs map[string][]byte) (*Entry, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.entries[dig] = e
+	s.install(e)
 	s.mu.Unlock()
 	return e, nil
+}
+
+// install files a sealed entry in the index, replacing (and releasing
+// the resident blobs of) any older entry for its digest, and admits its
+// bodies to the LRU, most recently used, evicting the least recently
+// used blobs past the budget. The caller holds s.mu.
+func (s *Store) install(e *Entry) {
+	if old := s.entries[e.Digest]; old != nil {
+		s.release(old)
+	}
+	s.entries[e.Digest] = e
+	for _, a := range e.Artifacts {
+		s.admit(a, a.data)
+	}
+}
+
+// admit makes a body resident as the most recently used blob and
+// evicts down to the budget. The caller holds s.mu.
+func (s *Store) admit(a *Artifact, data []byte) {
+	a.data, a.elem = data, s.lru.PushFront(a)
+	s.charge(a.Size)
+	for s.resident > s.budget {
+		s.evict(s.lru.Back().Value.(*Artifact))
+	}
+}
+
+// evict takes a body out of the LRU; the caller holds s.mu. A
+// memory-only store keeps the bytes, which exist nowhere else, for
+// whoever still holds the entry.
+func (s *Store) evict(a *Artifact) {
+	s.lru.Remove(a.elem)
+	a.elem = nil
+	if s.dir != "" {
+		a.data = nil
+	}
+	s.charge(-a.Size)
+}
+
+// release evicts every resident body of an entry leaving the index;
+// the caller holds s.mu.
+func (s *Store) release(e *Entry) {
+	for _, a := range e.Artifacts {
+		if a.elem != nil {
+			s.evict(a)
+		}
+	}
+}
+
+// charge moves the store's resident byte count and the process gauge.
+func (s *Store) charge(n int) {
+	s.resident += n
+	residentBytes.Add(float64(n))
+}
+
+// read serves Artifact.Bytes: the resident body, else the blob read
+// back from disk, verified against its SHA-256 and admitted to the LRU
+// again while its entry is still the live one for the digest. A blob
+// that is gone or altered drops the entry and returns ErrLost.
+func (s *Store) read(a *Artifact) ([]byte, error) {
+	s.mu.Lock()
+	if a.elem != nil {
+		s.lru.MoveToFront(a.elem)
+	}
+	data, resident := a.data, a.elem != nil || s.dir == ""
+	s.mu.Unlock()
+	if resident {
+		return data, nil
+	}
+
+	e := a.entry
+	diskReads.Add(1)
+	body, err := os.ReadFile(filepath.Join(s.dir, entryDirName(e.Digest), a.Name))
+	if err == nil && digest.Bytes(body) != a.SHA256 {
+		err = errors.New("content hash mismatch")
+	}
+	if err != nil {
+		s.drop(e, a.Name, err)
+		return nil, fmt.Errorf("%w: %s %s: %v", ErrLost, e.Digest, a.Name, err)
+	}
+	s.mu.Lock()
+	if a.elem == nil && s.entries[e.Digest] == e {
+		s.admit(a, body)
+	}
+	s.mu.Unlock()
+	return body, nil
+}
+
+// drop removes an entry whose blob was lost from the index, if it is
+// still the live entry for its digest, and counts it once.
+func (s *Store) drop(e *Entry, name string, cause error) {
+	s.mu.Lock()
+	live := s.entries[e.Digest] == e
+	if live {
+		delete(s.entries, e.Digest)
+		s.release(e)
+	}
+	s.mu.Unlock()
+	if live {
+		corruptDropped.Add(1)
+		obs.Log().Warn("cache: dropping entry with a lost blob", "digest", e.Digest, "artifact", name, "err", cause)
+	}
 }
 
 // seal freezes a blob map into an Entry (sorted, content-hashed) and
@@ -264,7 +409,7 @@ func (s *Store) seal(dig string, blobs map[string][]byte) (*Entry, error) {
 	if len(blobs) == 0 {
 		return nil, fmt.Errorf("cache: empty artifact set for %s", dig)
 	}
-	e := &Entry{Digest: dig}
+	e := &Entry{Digest: dig, store: s}
 	names := make([]string, 0, len(blobs))
 	for name := range blobs {
 		if !validName(name) {
@@ -276,7 +421,7 @@ func (s *Store) seal(dig string, blobs map[string][]byte) (*Entry, error) {
 	for _, name := range names {
 		data := blobs[name]
 		e.Artifacts = append(e.Artifacts, &Artifact{
-			Name: name, SHA256: digest.Bytes(data), Size: len(data), data: data,
+			Name: name, SHA256: digest.Bytes(data), Size: len(data), entry: e, data: data,
 		})
 	}
 	if s.dir != "" {
@@ -353,10 +498,12 @@ func (s *Store) persist(e *Entry) error {
 	return os.Rename(tmp, dir)
 }
 
-// load rehydrates every persisted entry. A directory whose index or
-// blobs are unreadable or whose content hash no longer matches is
-// skipped (and logged), never fatal: a corrupt cache entry costs a
-// recomputation, not the daemon.
+// load rehydrates the index of every persisted entry. Every blob is
+// read and checked against its content hash, but not kept: bodies
+// become resident on first read. A directory whose index or blobs are
+// unreadable or whose content hash no longer matches is skipped (and
+// logged), never fatal: a corrupt cache entry costs a recomputation,
+// not the daemon.
 func (s *Store) load() error {
 	dirs, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -380,7 +527,7 @@ func (s *Store) load() error {
 			log.Warn("cache: skipping entry with bad index", "dir", dir, "err", err)
 			continue
 		}
-		e := &Entry{Digest: idx.Digest}
+		e := &Entry{Digest: idx.Digest, store: s}
 		ok := idx.Digest != ""
 		for _, a := range idx.Artifacts {
 			if !validName(a.Name) {
@@ -392,7 +539,7 @@ func (s *Store) load() error {
 				ok = false
 				break
 			}
-			e.Artifacts = append(e.Artifacts, &Artifact{Name: a.Name, SHA256: a.SHA256, Size: len(body), data: body})
+			e.Artifacts = append(e.Artifacts, &Artifact{Name: a.Name, SHA256: a.SHA256, Size: len(body), entry: e})
 		}
 		if !ok || len(e.Artifacts) == 0 {
 			corruptDropped.Add(1)

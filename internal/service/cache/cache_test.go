@@ -17,6 +17,16 @@ func blobs(v string) map[string][]byte {
 	return map[string][]byte{"a.json": []byte(v), "b.lib": []byte(v + v)}
 }
 
+// mustBytes reads an artifact body, failing the test on a lost blob.
+func mustBytes(t *testing.T, a *Artifact) []byte {
+	t.Helper()
+	b, err := a.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestGetOrComputeSingleFlight(t *testing.T) {
 	s, err := New("")
 	if err != nil {
@@ -211,7 +221,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	for i, a := range want.Artifacts {
 		b := got.Artifacts[i]
-		if a.Name != b.Name || a.SHA256 != b.SHA256 || string(a.Bytes()) != string(b.Bytes()) {
+		if a.Name != b.Name || a.SHA256 != b.SHA256 || string(mustBytes(t, a)) != string(mustBytes(t, b)) {
 			t.Fatalf("artifact %s changed across restart", a.Name)
 		}
 	}
@@ -291,7 +301,7 @@ func TestCorruptEntryDroppedAndCounted(t *testing.T) {
 	if !ok {
 		t.Fatal("healthy entry lost while dropping corrupt neighbors")
 	}
-	if string(e.Artifact("a.json").Bytes()) != "keep" {
+	if string(mustBytes(t, e.Artifact("a.json"))) != "keep" {
 		t.Fatal("healthy entry's bytes changed")
 	}
 }

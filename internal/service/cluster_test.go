@@ -250,8 +250,11 @@ func TestCachePeerTier(t *testing.T) {
 	}
 	for name, want := range blobs {
 		a := entry.Artifact(name)
-		if a == nil || !bytes.Equal(a.Bytes(), want) {
-			t.Fatalf("peer-filled artifact %s missing or differs", name)
+		if a == nil {
+			t.Fatalf("peer-filled artifact %s missing", name)
+		}
+		if got, err := a.Bytes(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("peer-filled artifact %s differs (%v)", name, err)
 		}
 	}
 	// The fill is sealed: a second request is a plain local hit.

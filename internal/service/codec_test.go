@@ -69,6 +69,37 @@ func TestCodecArtifactsPinned(t *testing.T) {
 	}
 }
 
+// TestColdJobArtifactsPinned pins the SHA-256 of all seven artifacts of
+// one small cold job, so a reordered float anywhere between the
+// Monte-Carlo rows and the rendered artifacts (the model tables, the
+// perturbation, the fold, the writers) fails tier-1, not only the
+// benchmark's pinned digests. The hashes were recorded before the
+// catalogue gained its per-entry model tables and the fold went
+// parallel.
+func TestColdJobArtifactsPinned(t *testing.T) {
+	want := map[string]string{
+		ArtifactNetlist:   "c99f7d58166351e2edba896a99681a6e71fa7fb6ac2bcd1d75721df47695754d",
+		ArtifactSpec:      "e96b437a4353c1a781b8f2aef5855ac85adeda1f8774f6c8835e5a0c5b7e5e81",
+		ArtifactStatLib:   "696bf02cd15df1f16115f69999a3204b23cbc06bfa77b45c8348a1029ce320a4",
+		ArtifactSynthesis: "48694858181472be0e4728caf0e715e53dab54acf620fee2d94da4457029c042",
+		ArtifactTuning:    "97afe47654c3d27b6a21a300fe76b6a59efeca4c76dd44b9a0fbf6e04a9e6ffa",
+		ArtifactVariation: "a2e249baadb5c5f1360e958e8e41e89e20e5213c3b52e1902e527b836510e2cb",
+		ArtifactWindows:   "6b9ef591d0f31af52eca7695c0d9a81d776756b05714255fed786ad1e3513dbe",
+	}
+	arts, err := Run(context.Background(), Spec{Design: "mcu-small", Instances: 4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arts) != len(want) {
+		t.Errorf("%d artifacts, want %d", len(arts), len(want))
+	}
+	for name, h := range want {
+		if got := sha(arts[name]); got != h {
+			t.Errorf("%s sha256 %s, want %s", name, got, h)
+		}
+	}
+}
+
 func sha(b []byte) string {
 	s := sha256.Sum256(b)
 	return hex.EncodeToString(s[:])

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"stdcelltune"
@@ -90,6 +91,33 @@ func Run(ctx context.Context, spec Spec) (map[string][]byte, error) {
 	return p.Run(ctx, spec)
 }
 
+// catalogues holds one catalogue per corner for the process. A
+// catalogue is immutable once built (its timing-arc cache is
+// lock-protected), so every job and query store of a corner shares
+// one, as the shard executor's workers do, instead of each rebuilding
+// the 304-cell library with its per-entry model tables and keeping it
+// for as long as the job runs or the query store stays cached.
+var catalogues struct {
+	mu sync.Mutex
+	m  map[stdcelltune.Corner]*stdcelltune.Catalogue
+}
+
+// catalogue returns the process's catalogue of a corner, building it on
+// first use.
+func catalogue(corner stdcelltune.Corner) *stdcelltune.Catalogue {
+	catalogues.mu.Lock()
+	defer catalogues.mu.Unlock()
+	cat, ok := catalogues.m[corner]
+	if !ok {
+		if catalogues.m == nil {
+			catalogues.m = make(map[stdcelltune.Corner]*stdcelltune.Catalogue)
+		}
+		cat = stdcelltune.NewCatalogue(corner)
+		catalogues.m[corner] = cat
+	}
+	return cat
+}
+
 // Stage counters in the process-default registry: how many times the
 // pipeline's two expensive stages started. A request answered from the
 // cache or by the query layer leaves both unchanged — the direct witness
@@ -110,7 +138,7 @@ func (p *Pipeline) Run(ctx context.Context, spec Spec) (map[string][]byte, error
 	tr := obs.TracerFrom(ctx)
 
 	corner, _ := cornerFromSlug(spec.Corner)
-	cat := stdcelltune.NewCatalogue(corner)
+	cat := catalogue(corner)
 
 	characterizeRuns.Add(1)
 	stat, err := p.characterize(ctx, cat, spec)

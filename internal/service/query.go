@@ -16,7 +16,6 @@ import (
 	"stdcelltune/internal/service/cache"
 	"stdcelltune/internal/sta"
 	"stdcelltune/internal/statlib"
-	"stdcelltune/internal/stdcell"
 )
 
 // ErrNotQueryable marks a cached library whose artifact set predates
@@ -127,21 +126,27 @@ func (m *Manager) QueryStore(dig string) (*query.Store, error) {
 // post-mortem analyst with a cache directory — answer queries without
 // rerunning anything.
 func BuildQueryStore(e *cache.Entry) (*query.Store, error) {
-	specArt := e.Artifact(ArtifactSpec)
-	if specArt == nil {
+	specBody, err := artifactBytes(e, ArtifactSpec)
+	if err != nil {
+		return nil, err
+	}
+	if specBody == nil {
 		return nil, fmt.Errorf("%w: %s has no %s", ErrNotQueryable, e.Digest, ArtifactSpec)
 	}
 	var spec Spec
-	if err := json.Unmarshal(specArt.Bytes(), &spec); err != nil {
+	if err := json.Unmarshal(specBody, &spec); err != nil {
 		return nil, fmt.Errorf("%w: decode %s: %v", ErrNotQueryable, ArtifactSpec, err)
 	}
 	spec = spec.Normalized()
 
-	statArt := e.Artifact(ArtifactStatLib)
-	if statArt == nil {
+	statBody, err := artifactBytes(e, ArtifactStatLib)
+	if err != nil {
+		return nil, err
+	}
+	if statBody == nil {
 		return nil, fmt.Errorf("%w: %s has no %s", ErrNotQueryable, e.Digest, ArtifactStatLib)
 	}
-	lib, err := liberty.Parse(string(statArt.Bytes()))
+	lib, err := liberty.Parse(string(statBody))
 	if err != nil {
 		return nil, fmt.Errorf("%w: parse %s: %v", ErrNotQueryable, ArtifactStatLib, err)
 	}
@@ -151,9 +156,13 @@ func BuildQueryStore(e *cache.Entry) (*query.Store, error) {
 	}
 
 	var windows *restrict.Set
-	if winArt := e.Artifact(ArtifactWindows); winArt != nil {
+	winBody, err := artifactBytes(e, ArtifactWindows)
+	if err != nil {
+		return nil, err
+	}
+	if winBody != nil {
 		var wd windowsDoc
-		if err := json.Unmarshal(winArt.Bytes(), &wd); err != nil {
+		if err := json.Unmarshal(winBody, &wd); err != nil {
 			return nil, fmt.Errorf("%w: decode %s: %v", ErrNotQueryable, ArtifactWindows, err)
 		}
 		windows = restrict.NewSet(wd.Name)
@@ -176,22 +185,29 @@ func BuildQueryStore(e *cache.Entry) (*query.Store, error) {
 	// Entries sealed before the query layer existed have no netlist.v;
 	// they still serve the library-side tables, but design tables and
 	// what-ifs need the netlist.
-	if nlArt := e.Artifact(ArtifactNetlist); nlArt != nil {
+	nlBody, err := artifactBytes(e, ArtifactNetlist)
+	if err != nil {
+		return nil, err
+	}
+	if nlBody != nil {
 		corner, ok := cornerFromSlug(spec.Corner)
 		if !ok {
 			return nil, fmt.Errorf("%w: unknown corner %q", ErrNotQueryable, spec.Corner)
 		}
-		cat := stdcell.NewCatalogue(corner)
-		nl, err := netlist.ParseVerilog(string(nlArt.Bytes()), cat)
+		nl, err := netlist.ParseVerilog(string(nlBody), catalogue(corner))
 		if err != nil {
 			return nil, fmt.Errorf("%w: parse %s: %v", ErrNotQueryable, ArtifactNetlist, err)
 		}
 		src.Netlist = nl
 	}
 
-	if synthArt := e.Artifact(ArtifactSynthesis); synthArt != nil {
+	synthBody, err := artifactBytes(e, ArtifactSynthesis)
+	if err != nil {
+		return nil, err
+	}
+	if synthBody != nil {
 		var sd synthDoc
-		if err := json.Unmarshal(synthArt.Bytes(), &sd); err != nil {
+		if err := json.Unmarshal(synthBody, &sd); err != nil {
 			return nil, fmt.Errorf("%w: decode %s: %v", ErrNotQueryable, ArtifactSynthesis, err)
 		}
 		src.Synth = []query.SynthUnit{{
@@ -216,6 +232,21 @@ func BuildQueryStore(e *cache.Entry) (*query.Store, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNotQueryable, err)
 	}
 	return s, nil
+}
+
+// artifactBytes reads the named artifact of e: nil without error when e
+// has no such artifact, ErrNotFound when its blob was lost (the store
+// has dropped the entry, so the library is gone until recomputed).
+func artifactBytes(e *cache.Entry, name string) ([]byte, error) {
+	a := e.Artifact(name)
+	if a == nil {
+		return nil, nil
+	}
+	body, err := a.Bytes()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNotFound, err)
+	}
+	return body, nil
 }
 
 // queryResultDoc is the paginated wire form of a table-query result:
@@ -249,7 +280,7 @@ func (m *Manager) ExecuteQuery(ctx context.Context, dig string, raw []byte) (any
 	if err != nil {
 		return nil, "", err
 	}
-	entry, outcome, err := m.store.GetOrCompute(ctx, resultDig, func(context.Context) (map[string][]byte, error) {
+	compute := func(context.Context) (map[string][]byte, error) {
 		s, err := m.QueryStore(dig)
 		if err != nil {
 			return nil, err
@@ -268,11 +299,22 @@ func (m *Manager) ExecuteQuery(ctx context.Context, dig string, raw []byte) (any
 			return nil, err
 		}
 		return map[string][]byte{ArtifactQueryResult: append(body, '\n')}, nil
-	})
+	}
+	var body []byte
+	entry, outcome, err := m.store.GetOrCompute(ctx, resultDig, compute)
+	if err == nil {
+		body, err = entry.Artifact(ArtifactQueryResult).Bytes()
+	}
+	if errors.Is(err, cache.ErrLost) {
+		// The cached result's blob was lost from disk and its entry
+		// dropped: answer as the miss it now is.
+		if entry, outcome, err = m.store.GetOrCompute(ctx, resultDig, compute); err == nil {
+			body, err = entry.Artifact(ArtifactQueryResult).Bytes()
+		}
+	}
 	if err != nil {
 		return nil, outcome, err
 	}
-	body := entry.Artifact(ArtifactQueryResult).Bytes()
 
 	if q.WhatIf != nil {
 		var wr query.WhatIfResult

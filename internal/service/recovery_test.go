@@ -171,8 +171,11 @@ func crashAndRecover(t *testing.T, tc crashCase, corruptCache bool) {
 			t.Fatalf("%s: no cache entry for recovered digest %s", tc.name, dig)
 		}
 		a := e.Artifact("result.json")
-		if a == nil || !bytes.Equal(a.Bytes(), want) {
-			t.Fatalf("%s: recovered bytes for %s diverge from reference", tc.name, dig)
+		if a == nil {
+			t.Fatalf("%s: recovered entry for %s has no result.json", tc.name, dig)
+		}
+		if got, err := a.Bytes(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: recovered bytes for %s diverge from reference (%v)", tc.name, dig, err)
 		}
 	}
 

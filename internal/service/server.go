@@ -399,7 +399,12 @@ func handleV2GetArtifact(m *Manager) http.HandlerFunc {
 			writeErrorV2(w, r, fmt.Errorf("%w: no such artifact", ErrNotFound))
 			return
 		}
-		serveArtifact(w, a.Name, a.SHA256, a.Bytes())
+		data, err := a.Bytes()
+		if err != nil { // lost from disk: the entry is gone, answer as a miss
+			writeErrorV2(w, r, fmt.Errorf("%w: no such library", ErrNotFound))
+			return
+		}
+		serveArtifact(w, a.Name, a.SHA256, data)
 	}
 }
 
@@ -546,7 +551,12 @@ func handleV1GetArtifact(m *Manager) http.HandlerFunc {
 			writeJSON(w, http.StatusNotFound, errorDoc{Error: "no such artifact", Status: http.StatusNotFound})
 			return
 		}
-		serveArtifact(w, a.Name, a.SHA256, a.Bytes())
+		data, err := a.Bytes()
+		if err != nil { // lost from disk: the entry is gone, answer as a miss
+			writeJSON(w, http.StatusNotFound, errorDoc{Error: "no such artifact set", Status: http.StatusNotFound})
+			return
+		}
+		serveArtifact(w, a.Name, a.SHA256, data)
 	}
 }
 

@@ -3,6 +3,7 @@ package statlib
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"stdcelltune/internal/liberty"
@@ -146,5 +147,42 @@ func TestFoldSamplesRejects(t *testing.T) {
 	}
 	if _, err := FoldSamples("x", layout, [][]float64{make([]float64, layout.Entries), make([]float64, 3)}); err == nil {
 		t.Error("short row folded")
+	}
+}
+
+// TestFoldSamplesWorkerInvariant: the parallel fold writes the same
+// bytes at every worker count, and its ranges cover every cell exactly
+// once, in order, in at most the worker count of ranges.
+func TestFoldSamplesWorkerInvariant(t *testing.T) {
+	cat := stdcell.NewCatalogue(stdcell.Slow)
+	layout := cat.Layout()
+	rows, err := variation.SamplesCtx(context.Background(), cat, variation.Config{N: 5, Seed: 4, CharNoise: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ""
+	for _, procs := range []int{1, 2, 3, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := foldOutput(FoldSamples("stat", layout, rows))
+		runtime.GOMAXPROCS(prev)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("GOMAXPROCS=%d fold differs from GOMAXPROCS=1", procs)
+		}
+	}
+	for _, workers := range []int{0, 1, 2, 3, 7, len(layout.Cells), 10 * len(layout.Cells)} {
+		b := foldRanges(layout, workers)
+		if b[0] != 0 || b[len(b)-1] != len(layout.Cells) {
+			t.Fatalf("workers %d: ranges %v do not span [0,%d)", workers, b, len(layout.Cells))
+		}
+		if n := len(b) - 1; n > max(workers, 1) {
+			t.Fatalf("workers %d: %d ranges", workers, n)
+		}
+		for r := 1; r < len(b); r++ {
+			if b[r] <= b[r-1] {
+				t.Fatalf("workers %d: empty or reversed range in %v", workers, b)
+			}
+		}
 	}
 }

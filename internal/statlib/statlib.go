@@ -8,6 +8,7 @@
 package statlib
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -36,10 +37,11 @@ type Library struct {
 	Quarantine *robust.Quarantine
 
 	// slab is the contiguous structure-of-arrays backing every table of
-	// the library is carved from (nil for hand-assembled libraries): one
-	// float64 slab per library, with the per-arc Mean/Sigma tables as
-	// views into it in fold order, so a whole cell's statistics sit in
-	// adjacent memory. Tables stay valid for the library's lifetime.
+	// the library is carved from (nil for hand-assembled libraries and
+	// for FoldSamples, which carves each fold range from a slab of its
+	// own): the per-arc Mean/Sigma tables are views into it in fold
+	// order, so a whole cell's statistics sit in adjacent memory.
+	// Tables stay valid for the library's lifetime.
 	slab *lut.Slab
 }
 
@@ -90,7 +92,7 @@ func Build(name string, instances []*liberty.Library) (*Library, error) {
 		return nil, errors.New("statlib: need at least two instances")
 	}
 	ref := instances[0]
-	sl := newFold(name, len(instances), len(ref.Cells), foldSlabHint(ref))
+	sl := newFold(name, len(instances), len(ref.Cells), lut.NewSlab(foldSlabHint(ref)))
 	cells := make([]*liberty.Cell, len(instances))
 	for _, refCell := range ref.Cells {
 		quarantined := false
@@ -121,11 +123,18 @@ func Build(name string, instances []*liberty.Library) (*Library, error) {
 // the instance's CellRise = stdcell.RiseScale·v and CellFall =
 // stdcell.FallScale·v. The folded library — tables, quarantine report
 // and errors — is byte-identical to Build over the instances the rows
-// were sampled alongside: both reduce entries through foldTable and
+// were sampled alongside: both reduce entries through foldEntry and
 // screen cells through degenerateCell and the quarantine limit. Build's
 // structural checks (a cell missing from an instance, mismatched pins
 // or arcs) have no counterpart, since every row has the layout's
 // structure by construction.
+//
+// Cells fold in parallel, in at most robust.DefaultWorkers()
+// contiguous ranges of about equal entry volume, each with a slab and
+// buffers of its own. Every cell's fold is a pure function of its
+// entries, and cells are admitted in layout order once all ranges are
+// done, so the library and its quarantine order do not depend on the
+// worker count.
 func FoldSamples(name string, layout *stdcell.Layout, rows [][]float64) (*Library, error) {
 	if len(rows) < 2 {
 		return nil, errors.New("statlib: need at least two instances")
@@ -135,12 +144,29 @@ func FoldSamples(name string, layout *stdcell.Layout, rows [][]float64) (*Librar
 			return nil, fmt.Errorf("statlib: sample row %d has %d entries, layout has %d", k, len(row), layout.Entries)
 		}
 	}
-	// Two stat tables (mean, sigma) per rise and fall table of an entry.
-	sl := newFold(name, len(rows), len(layout.Cells), 4*layout.Entries)
-	buf := make([]float64, len(rows))
-	for _, lc := range layout.Cells {
-		sc, err := foldSampleCell(lc, rows, buf, sl.slab)
-		sl.admit(lc.Spec.Name, sc, err)
+	type folded struct {
+		sc  *Cell
+		err error
+	}
+	out := make([]folded, len(layout.Cells))
+	bounds := foldRanges(layout, robust.DefaultWorkers())
+	err := robust.ForEachNamed(context.TODO(), "statlib.fold", len(bounds)-1, len(bounds)-1, func(_ context.Context, r int) error {
+		lo, hi := bounds[r], bounds[r+1]
+		// Two stat tables (mean, sigma) per rise and fall table of an
+		// entry: the range's exact volume, so its slab is one chunk.
+		slab := lut.NewSlab(4 * (cellStart(layout, hi) - cellStart(layout, lo)))
+		col, buf := make([]float64, len(rows)), make([]float64, len(rows))
+		for c := lo; c < hi; c++ {
+			out[c].sc, out[c].err = foldSampleCell(layout.Cells[c], rows, col, buf, slab)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sl := newFold(name, len(rows), len(layout.Cells), nil)
+	for c, lc := range layout.Cells {
+		sl.admit(lc.Spec.Name, out[c].sc, out[c].err)
 	}
 	if err := sl.Quarantine.Check(robust.DefaultQuarantineLimit); err != nil {
 		return nil, err
@@ -148,13 +174,45 @@ func FoldSamples(name string, layout *stdcell.Layout, rows [][]float64) (*Librar
 	return sl, nil
 }
 
+// foldRanges splits the layout's cells into at most workers contiguous
+// ranges of about equal entry volume: range r is cells
+// [bounds[r], bounds[r+1]).
+func foldRanges(layout *stdcell.Layout, workers int) []int {
+	n := len(layout.Cells)
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	bounds := []int{0}
+	for c := 0; c < n && len(bounds) < workers; c++ {
+		if cellStart(layout, c+1)*workers >= len(bounds)*layout.Entries {
+			bounds = append(bounds, c+1)
+		}
+	}
+	if bounds[len(bounds)-1] != n {
+		bounds = append(bounds, n)
+	}
+	return bounds
+}
+
+// cellStart is the row index of cell c's first entry, Entries for c
+// past the last cell.
+func cellStart(layout *stdcell.Layout, c int) int {
+	if c == len(layout.Cells) {
+		return layout.Entries
+	}
+	return layout.Cells[c].Offset
+}
+
 // newFold starts an empty statistical library for a fold of n instances
-// over the given number of cells.
-func newFold(name string, n, cells, slabHint int) *Library {
+// over the given number of cells, its tables carved from slab.
+func newFold(name string, n, cells int, slab *lut.Slab) *Library {
 	sl := &Library{
 		Name: name, Samples: n, Cells: make(map[string]*Cell),
 		Quarantine: robust.NewQuarantine("statlib"),
-		slab:       lut.NewSlab(slabHint),
+		slab:       slab,
 	}
 	sl.Quarantine.Total = cells
 	return sl
@@ -340,17 +398,27 @@ func foldTables(slab *lut.Slab, tables []*lut.Table) (mean, sigma *lut.Table, er
 }
 
 // foldSampleCell folds one layout cell of a sample matrix (FoldSamples'
-// front of foldTable), building the same cell Build's buildCell would.
-func foldSampleCell(lc stdcell.LayoutCell, rows [][]float64, buf []float64, slab *lut.Slab) (*Cell, error) {
+// front of foldEntry), building the same cell Build's buildCell would.
+// Each entry's column is gathered into col once; the rise and the fall
+// table reduce it scaled into buf, with the same float operations
+// foldTable applies to the instances' CellRise and CellFall tables.
+// A sample the rise scale leaves usable the smaller fall scale leaves
+// usable too, so the first entry whose fall table fails has a failing
+// rise table: reducing entry by entry reports the error table by table
+// would.
+func foldSampleCell(lc stdcell.LayoutCell, rows [][]float64, col, buf []float64, slab *lut.Slab) (*Cell, error) {
 	s := lc.Spec
 	sc := &Cell{Name: s.Name, Area: s.Area(), DriveStrength: s.Drive, Footprint: s.Family}
-	fold := func(off int, scale float64) (mean, sigma *lut.Table, err error) {
-		return foldTable(slab, lc.Loads, stdcell.SlewAxis, buf, func(i, j int) {
-			e := off + i*len(stdcell.SlewAxis) + j
-			for k, row := range rows {
-				buf[k] = row[e] * scale
-			}
-		})
+	reduce := func(mean, sigma *lut.Table, i, j int, scale float64) error {
+		for k, v := range col {
+			buf[k] = v * scale
+		}
+		m, sg, n := foldEntry(buf)
+		if n < 2 {
+			return entryError(i, j, n, len(buf))
+		}
+		mean.Values[i][j], sigma.Values[i][j] = m, sg
+		return nil
 	}
 	for _, p := range lc.Pins {
 		if len(p.Arcs) == 0 {
@@ -358,67 +426,89 @@ func foldSampleCell(lc stdcell.LayoutCell, rows [][]float64, buf []float64, slab
 		}
 		sp := &Pin{Name: p.Name, MaxCap: s.MaxCap()}
 		for _, a := range p.Arcs {
-			mr, sr, err := fold(a.Offset, stdcell.RiseScale)
-			if err != nil {
-				return nil, err
-			}
-			mf, sf, err := fold(a.Offset, stdcell.FallScale)
-			if err != nil {
-				return nil, err
-			}
-			sp.Arcs = append(sp.Arcs, &Arc{
+			arc := &Arc{
 				RelatedPin: a.RelatedPin,
-				MeanRise:   mr, SigmaRise: sr,
-				MeanFall: mf, SigmaFall: sf,
-			})
+				MeanRise:   lut.NewIn(slab, lc.Loads, stdcell.SlewAxis),
+				SigmaRise:  lut.NewIn(slab, lc.Loads, stdcell.SlewAxis),
+				MeanFall:   lut.NewIn(slab, lc.Loads, stdcell.SlewAxis),
+				SigmaFall:  lut.NewIn(slab, lc.Loads, stdcell.SlewAxis),
+			}
+			e := a.Offset
+			for i := range lc.Loads {
+				for j := range stdcell.SlewAxis {
+					for k, row := range rows {
+						col[k] = row[e]
+					}
+					e++
+					if err := reduce(arc.MeanRise, arc.SigmaRise, i, j, stdcell.RiseScale); err != nil {
+						return nil, err
+					}
+					if err := reduce(arc.MeanFall, arc.SigmaFall, i, j, stdcell.FallScale); err != nil {
+						return nil, err
+					}
+				}
+			}
+			sp.Arcs = append(sp.Arcs, arc)
 		}
 		sc.Pins = append(sc.Pins, sp)
 	}
 	return sc, nil
 }
 
-// foldTable is the innermost step of Fig. 2 and the one entry reduction
-// both folds share: per (load, slew) entry, gather(i, j) fills buf with
-// the entry's value in each of the N instances, in instance order, and
-// those values reduce to their mean and unbiased standard deviation,
-// stored at the same position of two slab-backed tables.
-//
-// The reduction is the exact two-pass accumulation dist.MeanStdDev
-// performs — sum in instance order, divide once, then sum the squared
-// deviations in the same order — so it is bitwise-identical to the
-// buffered form the pipeline's recorded outputs depend on. An entry
-// needs at least two usable samples (see usableSample) to have
-// statistics at all.
+// foldTable is Build's innermost step of Fig. 2: per (load, slew)
+// entry, gather(i, j) fills buf with the entry's value in each of the
+// N instances, in instance order, and foldEntry reduces them into the
+// same position of two slab-backed tables.
 func foldTable(slab *lut.Slab, loads, slews, buf []float64, gather func(i, j int)) (mean, sigma *lut.Table, err error) {
 	mean = lut.NewIn(slab, loads, slews)
 	sigma = lut.NewIn(slab, loads, slews)
 	for i := range loads {
 		for j := range slews {
 			gather(i, j)
-			sum, n := 0.0, 0
-			for _, v := range buf {
-				if usableSample(v) {
-					sum += v
-					n++
-				}
-			}
+			m, sg, n := foldEntry(buf)
 			if n < 2 {
-				return nil, nil, fmt.Errorf("statlib: entry [%d][%d] has %d usable samples of %d, need 2",
-					i, j, n, len(buf))
+				return nil, nil, entryError(i, j, n, len(buf))
 			}
-			m := sum / float64(n)
-			sq := 0.0
-			for _, v := range buf {
-				if usableSample(v) {
-					d := v - m
-					sq += d * d
-				}
-			}
-			mean.Values[i][j] = m
-			sigma.Values[i][j] = math.Sqrt(sq / float64(n-1))
+			mean.Values[i][j], sigma.Values[i][j] = m, sg
 		}
 	}
 	return mean, sigma, nil
+}
+
+// foldEntry is the one entry reduction both folds share: the N
+// instance values of one entry, in instance order, reduce to their mean
+// and unbiased standard deviation over the n usable ones (see
+// usableSample). An entry needs n ≥ 2 to have statistics at all.
+//
+// The reduction is the exact two-pass accumulation dist.MeanStdDev
+// performs — sum in instance order, divide once, then sum the squared
+// deviations in the same order — so it is bitwise-identical to the
+// buffered form the pipeline's recorded outputs depend on.
+func foldEntry(buf []float64) (mean, sigma float64, n int) {
+	sum := 0.0
+	for _, v := range buf {
+		if usableSample(v) {
+			sum += v
+			n++
+		}
+	}
+	if n < 2 {
+		return 0, 0, n
+	}
+	m := sum / float64(n)
+	sq := 0.0
+	for _, v := range buf {
+		if usableSample(v) {
+			d := v - m
+			sq += d * d
+		}
+	}
+	return m, math.Sqrt(sq / float64(n-1)), n
+}
+
+// entryError reports an entry with too few usable samples to fold.
+func entryError(i, j, n, of int) error {
+	return fmt.Errorf("statlib: entry [%d][%d] has %d usable samples of %d, need 2", i, j, n, of)
 }
 
 // Cell returns the named cell or nil.

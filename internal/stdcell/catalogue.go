@@ -212,8 +212,8 @@ func NewCatalogue(corner Corner) *Catalogue {
 	for _, cluster := range c.ByDrive {
 		sort.Slice(cluster, func(i, j int) bool { return cluster[i].Name < cluster[j].Name })
 	}
-	c.Lib = c.buildLiberty()
 	c.layout = c.buildLayout()
+	c.Lib = c.buildLiberty()
 	return c
 }
 

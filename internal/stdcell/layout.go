@@ -9,15 +9,25 @@ package stdcell
 // the order a Perturb sees the entries in and a row can stand in for an
 // instance's CellRise/CellFall tables (rise = RiseScale·v, fall =
 // FallScale·v).
+//
+// The layout also carries the analytic model at every entry, evaluated
+// once per catalogue: the instance-independent half of each
+// Monte-Carlo sample, which a Perturb receives instead of re-evaluating.
 type Layout struct {
 	Cells []LayoutCell
 	// Entries is the row length: the delay entries of one instance.
 	Entries int
+	// Nominal[e] is Spec.Delay and Sigma[e] is Spec.Sigma at entry e's
+	// (load, slew) point and the catalogue corner, bit for bit.
+	Nominal, Sigma []float64
 }
 
 // LayoutCell is one cell of a Layout.
 type LayoutCell struct {
 	Spec *Spec
+	// Offset is the row index of the cell's first entry: its entries
+	// run up to the next cell's Offset (Entries after the last cell).
+	Offset int
 	// Loads is the load axis of every delay table of the cell; the slew
 	// axis is SlewAxis.
 	Loads []float64
@@ -48,7 +58,7 @@ func (c *Catalogue) buildLayout() *Layout {
 	l := &Layout{}
 	for _, name := range c.CellNames() {
 		s := c.Specs[name]
-		lc := LayoutCell{Spec: s, Loads: s.LoadAxis()}
+		lc := LayoutCell{Spec: s, Offset: l.Entries, Loads: s.LoadAxis()}
 		for _, out := range s.Outputs {
 			lp := LayoutPin{Name: out}
 			if s.Kind != KindTie {
@@ -60,6 +70,19 @@ func (c *Catalogue) buildLayout() *Layout {
 			lc.Pins = append(lc.Pins, lp)
 		}
 		l.Cells = append(l.Cells, lc)
+	}
+	l.Nominal, l.Sigma = make([]float64, 0, l.Entries), make([]float64, 0, l.Entries)
+	for _, lc := range l.Cells {
+		for _, p := range lc.Pins {
+			for range p.Arcs {
+				for _, ld := range lc.Loads {
+					for _, sl := range SlewAxis {
+						l.Nominal = append(l.Nominal, lc.Spec.Delay(ld, sl, c.Corner))
+						l.Sigma = append(l.Sigma, lc.Spec.Sigma(ld, sl, c.Corner))
+					}
+				}
+			}
+		}
 	}
 	return l
 }
@@ -74,13 +97,13 @@ func (s *Spec) relatedPins() []string {
 	return s.Inputs
 }
 
-// entryDelay is one entry of an output arc's nominal delay table under
+// entryDelay is entry e of an output arc's nominal delay table under
 // the perturbation: the single definition both BuildLibrary and
 // DelaySamples evaluate, so the two agree bit for bit.
-func (c *Catalogue) entryDelay(s *Spec, load, slew float64, perturb Perturb) float64 {
-	d := s.Delay(load, slew, c.Corner)
+func (c *Catalogue) entryDelay(s *Spec, e int, perturb Perturb) float64 {
+	d := c.layout.Nominal[e]
 	if perturb != nil {
-		d += perturb(s, load, slew)
+		d += perturb(s, d, c.layout.Sigma[e])
 	}
 	return d
 }
@@ -94,12 +117,8 @@ func (c *Catalogue) DelaySamples(row []float64, perturb Perturb) {
 	for _, lc := range c.layout.Cells {
 		for _, p := range lc.Pins {
 			for _, a := range p.Arcs {
-				e := a.Offset
-				for _, l := range lc.Loads {
-					for _, sl := range SlewAxis {
-						row[e] = c.entryDelay(lc.Spec, l, sl, perturb)
-						e++
-					}
+				for e := a.Offset; e < a.Offset+len(lc.Loads)*len(SlewAxis); e++ {
+					row[e] = c.entryDelay(lc.Spec, e, perturb)
 				}
 			}
 		}

@@ -149,16 +149,19 @@ func (c *Catalogue) buildLiberty() *liberty.Library {
 			Index2:    append([]float64(nil), SlewAxis...),
 		}},
 	}
-	for _, name := range c.CellNames() {
-		lib.AddCell(c.buildCell(c.Specs[name], nil))
+	for _, lc := range c.layout.Cells {
+		lib.AddCell(c.buildCell(lc, nil))
 	}
 	return lib
 }
 
-// Perturb maps an operating point to a delay offset, used by the
-// variation package to generate Monte-Carlo library instances. nil means
-// no perturbation.
-type Perturb func(s *Spec, load, slew float64) float64
+// Perturb maps a delay entry of the cell to a delay offset, used by the
+// variation package to generate Monte-Carlo library instances. It
+// receives the entry's analytic model — nominal is Spec.Delay and sigma
+// is Spec.Sigma at the entry's operating point, from the catalogue's
+// Layout tables — so it never re-evaluates the model. Entries arrive in
+// Layout order. nil means no perturbation.
+type Perturb func(s *Spec, nominal, sigma float64) float64
 
 // BuildLibrary renders a full Liberty library applying the given
 // perturbation to every delay entry (the transition tables stay nominal;
@@ -176,13 +179,14 @@ func (c *Catalogue) BuildLibrary(name string, perturb Perturb) *liberty.Library 
 		OperatingCorner: c.Corner.Name(),
 		Templates:       c.Lib.Templates,
 	}
-	for _, cellName := range c.CellNames() {
-		lib.AddCell(c.buildCell(c.Specs[cellName], perturb))
+	for _, lc := range c.layout.Cells {
+		lib.AddCell(c.buildCell(lc, perturb))
 	}
 	return lib
 }
 
-func (c *Catalogue) buildCell(s *Spec, perturb Perturb) *liberty.Cell {
+func (c *Catalogue) buildCell(lc LayoutCell, perturb Perturb) *liberty.Cell {
+	s := lc.Spec
 	cell := &liberty.Cell{
 		Name:          s.Name,
 		Area:          s.Area(),
@@ -217,23 +221,19 @@ func (c *Catalogue) buildCell(s *Spec, perturb Perturb) *liberty.Cell {
 				CellRise: hold, CellFall: hold.Clone(), Template: "scalar"},
 		)
 	}
-	// Outputs with delay arcs.
-	for oi, out := range s.Outputs {
+	// Outputs with delay arcs (none on a tie cell), in Layout order.
+	for oi, lp := range lc.Pins {
 		pin := &liberty.Pin{
-			Name:      out,
+			Name:      lp.Name,
 			Direction: liberty.Output,
 			MaxCap:    s.MaxCap(),
 		}
 		if oi < len(s.Functions) {
 			pin.Function = s.Functions[oi]
 		}
-		if s.Kind == KindTie {
-			cell.Pins = append(cell.Pins, pin)
-			continue
-		}
-		for _, from := range s.relatedPins() {
-			pin.Timing = append(pin.Timing, c.buildArc(s, from, perturb))
-			pin.Power = append(pin.Power, c.buildPowerArc(s, from))
+		for _, a := range lp.Arcs {
+			pin.Timing = append(pin.Timing, c.buildArc(lc, a, perturb))
+			pin.Power = append(pin.Power, c.buildPowerArc(s, a.RelatedPin))
 		}
 		cell.Pins = append(cell.Pins, pin)
 	}
@@ -246,9 +246,10 @@ func constTable(v float64) *lut.Table {
 	return t
 }
 
-func (c *Catalogue) buildArc(s *Spec, from string, perturb Perturb) *liberty.TimingArc {
+func (c *Catalogue) buildArc(lc LayoutCell, la LayoutArc, perturb Perturb) *liberty.TimingArc {
+	s := lc.Spec
 	arc := &liberty.TimingArc{
-		RelatedPin: from,
+		RelatedPin: la.RelatedPin,
 		Sense:      senseOf(s.Kind),
 		Template:   TemplateName,
 	}
@@ -256,9 +257,14 @@ func (c *Catalogue) buildArc(s *Spec, from string, perturb Perturb) *liberty.Tim
 		arc.Type = "rising_edge"
 		arc.Sense = "non_unate"
 	}
-	delay := lut.NewFilled(s.LoadAxis(), SlewAxis, func(l, sl float64) float64 {
-		return c.entryDelay(s, l, sl, perturb)
-	})
+	delay := lut.New(lc.Loads, SlewAxis)
+	e := la.Offset
+	for i := range delay.Values {
+		for j := range delay.Values[i] {
+			delay.Values[i][j] = c.entryDelay(s, e, perturb)
+			e++
+		}
+	}
 	trans := s.TransitionTable(c.Corner)
 	arc.CellRise = delay.Clone().Scale(RiseScale)
 	arc.CellFall = delay.Scale(FallScale)

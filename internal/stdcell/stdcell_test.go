@@ -329,7 +329,7 @@ func TestSigmaBoundedByDelayProperty(t *testing.T) {
 
 func TestBuildLibraryWithPerturbation(t *testing.T) {
 	c := catTT()
-	bump := func(s *Spec, load, slew float64) float64 { return 0.001 }
+	bump := func(s *Spec, nominal, sigma float64) float64 { return 0.001 }
 	lib := c.BuildLibrary("mc_001", bump)
 	if lib.Name != "mc_001" {
 		t.Errorf("library name %q", lib.Name)
@@ -342,6 +342,50 @@ func TestBuildLibraryWithPerturbation(t *testing.T) {
 	}
 	if err := lib.Validate(); err != nil {
 		t.Fatalf("perturbed library invalid: %v", err)
+	}
+}
+
+// TestLayoutModelTables: cells and arcs tile the row in order, the
+// per-entry model tables a Perturb reads are Spec.Delay and Spec.Sigma
+// at each entry's operating point, bit for bit, in every corner, and an
+// unperturbed row is the nominal table.
+func TestLayoutModelTables(t *testing.T) {
+	for _, corner := range AllCorners {
+		c := NewCatalogue(corner)
+		l := c.Layout()
+		if len(l.Nominal) != l.Entries || len(l.Sigma) != l.Entries {
+			t.Fatalf("%v: tables hold %d/%d entries, layout has %d", corner, len(l.Nominal), len(l.Sigma), l.Entries)
+		}
+		row := make([]float64, l.Entries)
+		c.DelaySamples(row, nil)
+		e := 0
+		for _, lc := range l.Cells {
+			if lc.Offset != e {
+				t.Fatalf("%v %s: offset %d, want %d", corner, lc.Spec.Name, lc.Offset, e)
+			}
+			for _, p := range lc.Pins {
+				for _, a := range p.Arcs {
+					if a.Offset != e {
+						t.Fatalf("%v %s/%s/%s: offset %d, want %d", corner, lc.Spec.Name, p.Name, a.RelatedPin, a.Offset, e)
+					}
+					for _, ld := range lc.Loads {
+						for _, sl := range SlewAxis {
+							d, sg := lc.Spec.Delay(ld, sl, corner), lc.Spec.Sigma(ld, sl, corner)
+							if math.Float64bits(l.Nominal[e]) != math.Float64bits(d) ||
+								math.Float64bits(l.Sigma[e]) != math.Float64bits(sg) ||
+								math.Float64bits(row[e]) != math.Float64bits(d) {
+								t.Fatalf("%v %s %s/%s entry %d: tables (%v, %v), row %v, model (%v, %v)",
+									corner, lc.Spec.Name, p.Name, a.RelatedPin, e, l.Nominal[e], l.Sigma[e], row[e], d, sg)
+							}
+							e++
+						}
+					}
+				}
+			}
+		}
+		if e != l.Entries {
+			t.Fatalf("%v: arcs cover %d entries, layout has %d", corner, e, l.Entries)
+		}
 	}
 }
 

@@ -67,7 +67,12 @@ const (
 // Delta returns the delay offset this sample induces at an operating
 // point of the given cell.
 func (cs CellSample) Delta(s *stdcell.Spec, load, slew float64, corner stdcell.Corner) float64 {
-	return s.Sigma(load, slew, corner) * (wVth*cs.Vth + wBeta*cs.Beta)
+	return cs.delta(s.Sigma(load, slew, corner))
+}
+
+// delta is Delta at an operating point whose model sigma is known.
+func (cs CellSample) delta(sigma float64) float64 {
+	return sigma * (wVth*cs.Vth + wBeta*cs.Beta)
 }
 
 // Sampler draws deterministic local-variation samples keyed by instance
@@ -143,7 +148,7 @@ func InstancesCtx(ctx context.Context, cat *stdcell.Catalogue, cfg Config) ([]*l
 
 // Instance generates the i-th Monte-Carlo library.
 func Instance(cat *stdcell.Catalogue, sm *Sampler, i int, cfg Config) *liberty.Library {
-	return cat.BuildLibrary(fmt.Sprintf("%s_mc%03d", cat.Lib.Name, i), instancePerturb(cat, sm, i, cfg))
+	return cat.BuildLibrary(fmt.Sprintf("%s_mc%03d", cat.Lib.Name, i), instancePerturb(sm, i, cfg))
 }
 
 // SamplesCtx generates the N Monte-Carlo instances as a delay-sample
@@ -187,7 +192,7 @@ func SampleRows(ctx context.Context, cat *stdcell.Catalogue, cfg Config, lo, hi 
 			return err
 		}
 		rows[k] = slab[k*e : (k+1)*e : (k+1)*e]
-		cat.DelaySamples(rows[k], instancePerturb(cat, sm, lo+k, cfg))
+		cat.DelaySamples(rows[k], instancePerturb(sm, lo+k, cfg))
 		return nil
 	})
 	if err != nil {
@@ -216,8 +221,11 @@ func sleep(ctx context.Context, d time.Duration) error {
 // characterization noise (one stream per instance, drawn in entry
 // order) and the global factor when enabled. Each cell's mismatch is
 // drawn once, on its first entry; the draw depends only on (seed, i,
-// cell), so the cache needs to hold only the cell in progress.
-func instancePerturb(cat *stdcell.Catalogue, sm *Sampler, i int, cfg Config) stdcell.Perturb {
+// cell), so the cache needs to hold only the cell in progress. The
+// entry's model values come from the catalogue's Layout tables (see
+// stdcell.Perturb), so an instance costs draws and arithmetic, not
+// 3× the analytic model per entry.
+func instancePerturb(sm *Sampler, i int, cfg Config) stdcell.Perturb {
 	global := 1.0
 	if cfg.GlobalSigma > 0 {
 		global = sm.Global(i, cfg.GlobalSigma)
@@ -230,16 +238,16 @@ func instancePerturb(cat *stdcell.Catalogue, sm *Sampler, i int, cfg Config) std
 		cur *stdcell.Spec
 		cs  CellSample
 	)
-	return func(s *stdcell.Spec, load, slew float64) float64 {
+	return func(s *stdcell.Spec, nominal, sigma float64) float64 {
 		if s != cur {
 			cur, cs = s, sm.Cell(i, s.Name)
 		}
-		d := cs.Delta(s, load, slew, cat.Corner)
+		d := cs.delta(sigma)
 		if cfg.CharNoise > 0 {
-			d += cfg.CharNoise * s.Sigma(load, slew, cat.Corner) * noise.StandardNormal()
+			d += cfg.CharNoise * sigma * noise.StandardNormal()
 		}
 		if global != 1 {
-			d += (global - 1) * s.Delay(load, slew, cat.Corner)
+			d += (global - 1) * nominal
 		}
 		return d
 	}
