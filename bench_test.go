@@ -23,6 +23,7 @@ import (
 	"stdcelltune/internal/lut"
 	"stdcelltune/internal/netlist"
 	"stdcelltune/internal/pathmc"
+	"stdcelltune/internal/power"
 	"stdcelltune/internal/query"
 	"stdcelltune/internal/sta"
 	"stdcelltune/internal/statlib"
@@ -652,6 +653,31 @@ func BenchmarkBuildQueryStore(b *testing.B) {
 			Library: "bench", Stat: stat, Windows: set,
 			Netlist: nl, STA: sta.DefaultConfig(clocks.Medium),
 		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPowerEstimate times one activity-based power estimate of the
+// MCU synthesized at the medium clock, unrestricted: 256 cycles of
+// random stimulus through the netlist simulator, then the per-net
+// sums. BENCH_PR7.json gates its allocs_per_op, which catches a return
+// to per-gate maps in the simulator.
+func BenchmarkPowerEstimate(b *testing.B) {
+	f := flow(b)
+	clocks, err := f.Clocks()
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := f.Baseline(clocks.Medium)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := power.DefaultConfig(clocks.Medium)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := power.Estimate(res.Netlist, res.Timing, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

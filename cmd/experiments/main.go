@@ -216,6 +216,10 @@ func main() {
 		}
 		t0 := time.Now()
 		var r renderable
+		// One span per experiment names the driver that owns the wall
+		// time outside the phase spans. Its own category: trace readers
+		// count every "phase" span as pipeline work.
+		span := tracer.Start(e.name, "experiment")
 		// robust.Safe: a panicking driver fails its own experiment (with
 		// the recovered stack in the error), never the whole suite.
 		err := robust.Safe(func() error {
@@ -223,6 +227,7 @@ func main() {
 			r, runErr = e.run()
 			return runErr
 		})
+		span.End()
 		if err != nil {
 			if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
 				log.Printf("%s: cancelled: %v", e.name, err)

@@ -179,6 +179,18 @@ func main() {
 				fail("%s: synth outcome %+v malformed (empty key, or no iterations/analyses)", *manifestPath, o)
 			}
 		}
+		// Every outcome row either ran its synthesis problem or shared
+		// one another key ran, so the flow's memo counters must add up
+		// to the rows.
+		runs, okRuns := metricNum("exp.synth_runs")
+		shared, okShared := metricNum("exp.synth_shared")
+		switch {
+		case !okRuns || !okShared:
+			fail("%s: metrics missing exp.synth_runs / exp.synth_shared", *manifestPath)
+		case runs+shared != float64(len(m.SynthOutcomes)):
+			fail("%s: exp.synth_runs %g + exp.synth_shared %g != %d synth_outcomes",
+				*manifestPath, runs, shared, len(m.SynthOutcomes))
+		}
 		fmt.Printf("obscheck: manifest ok: %s, %d experiments, %d failed, %d synth units, %.1fs wall\n",
 			m.GoVersion, len(m.Experiments), len(m.Failed), len(m.SynthOutcomes), m.WallSeconds)
 	}

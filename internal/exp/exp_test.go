@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"stdcelltune/internal/core"
+	"stdcelltune/internal/restrict"
 )
 
 var (
@@ -640,5 +642,102 @@ func TestExtWorkloads(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "generalizes") {
 		t.Error("render incomplete")
+	}
+}
+
+// TestSynthSharesResolvedProblem: two display keys whose windows resolve
+// to the same limits at one clock share one synthesis — one Netlist,
+// one Timing, one statistical analysis — yet each keeps its own header,
+// with the caller's restriction set. A key whose limits differ runs its
+// own synthesis.
+func TestSynthSharesResolvedProblem(t *testing.T) {
+	f := smallFlow(t)
+	const clk = 8.0
+	loose, _, err := f.Tune(core.CellLoadSlope, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restrict.Resolve(loose, f.Cat).Digest() != restrict.Resolve(nil, f.Cat).Digest() {
+		t.Fatal("precondition: load-slope bound 1 windows bind somewhere")
+	}
+	base, baseDS, err := f.BaselineStats(clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned, tunedDS, err := f.TunedStats(core.CellLoadSlope, 1, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tuned == base {
+		t.Fatal("two display keys returned one header")
+	}
+	if tuned.Netlist != base.Netlist || tuned.Timing != base.Timing {
+		t.Error("keys with equal resolved limits did not share their synthesis")
+	}
+	if tunedDS != baseDS {
+		t.Error("keys sharing a synthesis ran two statistical analyses")
+	}
+	if base.Opts.Restrict != nil || tuned.Opts.Restrict != loose {
+		t.Errorf("headers lost their own sets: base %p, tuned %p, want nil and %p",
+			base.Opts.Restrict, tuned.Opts.Restrict, loose)
+	}
+	if again, _ := f.Tuned(core.CellLoadSlope, 1, clk); again != tuned {
+		t.Error("display key not cached (pointer differs)")
+	}
+
+	tight, _, err := f.Tune(core.SigmaCeiling, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restrict.Resolve(tight, f.Cat).Digest() == restrict.Resolve(nil, f.Cat).Digest() {
+		t.Fatal("precondition: sigma-ceiling 0.01 windows bind nowhere")
+	}
+	other, err := f.Tuned(core.SigmaCeiling, 0.01, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Netlist == base.Netlist {
+		t.Error("a key with different limits shared the baseline's netlist")
+	}
+	// A key the flow never synthesized is analyzed under its own name.
+	foreign, err := f.Stats("foreign/"+t.Name(), other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if foreign == baseDS {
+		t.Error("a foreign key's analysis was served from the baseline's problem")
+	}
+}
+
+// TestExtPowerPinned pins the power reports of the small flow's baseline
+// and tuned designs at the medium clock bit for bit, as the map-based
+// simulator computed them: index-addressed simulation may not move one
+// float.
+func TestExtPowerPinned(t *testing.T) {
+	f := smallFlow(t)
+	r, err := f.ExtPower()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := []struct {
+		name string
+		got  float64
+		want uint64
+	}{
+		{"clock", r.Clock, 0x400b333333333333},
+		{"bound", r.Bound, 0x3f9eb851eb851eb8},
+		{"base.Switching", r.Base.Switching, 0x3fc9485d7b1338e2},
+		{"base.Internal", r.Base.Internal, 0x3fbdbff16ccf8bd1},
+		{"base.Leakage", r.Base.Leakage, 0x3f853ec25d881ba3},
+		{"base.SigmaInternal", r.Base.SigmaInternal, 0x3f382271099cbe9f},
+		{"tuned.Switching", r.Tuned.Switching, 0x3fcc3b9923682017},
+		{"tuned.Internal", r.Tuned.Internal, 0x3fc0781ddcd85ce9},
+		{"tuned.Leakage", r.Tuned.Leakage, 0x3f8ca401518ebdf9},
+		{"tuned.SigmaInternal", r.Tuned.SigmaInternal, 0x3f3769f83c058484},
+	}
+	for _, p := range pins {
+		if got := math.Float64bits(p.got); got != p.want {
+			t.Errorf("%s = %v (%#x), want %v (%#x)", p.name, p.got, got, math.Float64frombits(p.want), p.want)
+		}
 	}
 }

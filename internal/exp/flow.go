@@ -1,8 +1,11 @@
 // Package exp contains one driver per table and figure of the paper's
 // evaluation (see DESIGN.md §4). All drivers share a Flow, which caches
 // the expensive artifacts — the statistical library, the microcontroller
-// network, and every (method, bound, clock) synthesis run — so the full
-// experiment suite performs each synthesis exactly once.
+// network, and every synthesis and statistical-timing run. Synthesis is
+// cached by content, not by name: a (method, bound, clock) request whose
+// windows resolve to the same limits as another request at the same
+// clock shares its netlist and timing, so the full experiment suite
+// performs each distinct synthesis problem exactly once.
 package exp
 
 import (
@@ -74,14 +77,35 @@ type Flow struct {
 	Obs  *obs.Run
 	Perf *perfstat.Collector
 
-	ctx      context.Context
-	mu       sync.Mutex
-	synthRes map[string]*call[*synth.Result]
-	statRes  map[string]*call[*stattime.DesignStats]
-	tuneRes  map[string]*call[*tuneEntry]
-	synthOut map[string]obs.SynthOutcome
-	minClock float64
+	ctx       context.Context
+	mu        sync.Mutex
+	synthRes  map[string]*call[*synth.Result]  // per display key: its header
+	problems  map[problem]*call[*synth.Result] // per distinct problem: the shared run
+	problemOf map[string]problem               // display key -> its problem
+	statRes   map[problem]*call[*stattime.DesignStats]
+	tuneRes   map[string]*call[*tuneEntry]
+	synthOut  map[string]obs.SynthOutcome
+	minClock  float64
 }
+
+// problem is the content key of one synthesis: the exact clock bits and
+// the digest of the resolved limits. Flow.synth builds
+// synth.DefaultOptions(clock), which fixes every option but Restrict
+// from the clock, and synthesis reads Restrict only through
+// restrict.Resolve, so two requests with equal problems synthesize the
+// same netlist (DESIGN.md §10, "Experiment fan-out").
+type problem struct {
+	clock  uint64
+	limits string
+}
+
+// Counters of the content-keyed synthesis memo, exported in the run
+// manifest's metrics: every display key either runs its problem or
+// shares a run, so runs + shared equals the synth_outcomes rows.
+var (
+	synthRuns   = obs.Default().Counter("exp.synth_runs")
+	synthShared = obs.Default().Counter("exp.synth_shared")
+)
 
 type tuneEntry struct {
 	set *restrict.Set
@@ -100,7 +124,7 @@ type call[T any] struct {
 }
 
 // flowCall returns the slot for key in m, creating it under mu if absent.
-func flowCall[T any](mu *sync.Mutex, m map[string]*call[T], key string) *call[T] {
+func flowCall[K comparable, T any](mu *sync.Mutex, m map[K]*call[T], key K) *call[T] {
 	mu.Lock()
 	defer mu.Unlock()
 	c, ok := m[key]
@@ -156,7 +180,9 @@ func NewFlow(ctx context.Context, cfg FlowConfig) (*Flow, error) {
 		Perf:       run.Perf,
 		ctx:        ctx,
 		synthRes:   make(map[string]*call[*synth.Result]),
-		statRes:    make(map[string]*call[*stattime.DesignStats]),
+		problems:   make(map[problem]*call[*synth.Result]),
+		problemOf:  make(map[string]problem),
+		statRes:    make(map[problem]*call[*stattime.DesignStats]),
 		tuneRes:    make(map[string]*call[*tuneEntry]),
 		synthOut:   make(map[string]obs.SynthOutcome),
 	}, nil
@@ -249,6 +275,10 @@ func (f *Flow) Tuned(m core.Method, bound, clock float64) (*synth.Result, error)
 	return f.synth(fmt.Sprintf("tuned/%d/%g/%g", m, bound, clock), clock, set)
 }
 
+// synth returns the result of one display key. The key's problem is
+// synthesized once, by whichever key asks first; every key gets its
+// own header — its own Opts.Restrict, the caller's set — over the
+// shared, read-only Netlist and Timing, and its own outcome row.
 func (f *Flow) synth(key string, clock float64, set *restrict.Set) (*synth.Result, error) {
 	c := flowCall(&f.mu, f.synthRes, key)
 	c.once.Do(func() {
@@ -256,6 +286,40 @@ func (f *Flow) synth(key string, clock float64, set *restrict.Set) (*synth.Resul
 			c.err = err
 			return
 		}
+		p := problem{clock: math.Float64bits(clock), limits: restrict.Resolve(set, f.Cat).Digest()}
+		shared, ran, err := f.solve(p, key, clock, set)
+		if err != nil {
+			c.err = err
+			return
+		}
+		res := *shared
+		res.Opts.Restrict = set
+		f.mu.Lock()
+		f.problemOf[key] = p
+		f.synthOut[key] = obs.SynthOutcome{
+			Key: key, Clock: clock, Met: res.Met, Area: res.Area(),
+			Iterations: res.Iterations, FullAnalyses: res.FullAnalyses,
+			IncrementalUpdates: res.IncrementalUpdates,
+		}
+		f.mu.Unlock()
+		if ran {
+			synthRuns.Add(1)
+		} else {
+			synthShared.Add(1)
+		}
+		c.val = &res
+	})
+	return c.val, c.err
+}
+
+// solve synthesizes a problem (cached, single-flight); ran reports
+// whether this call did the work. The phase span carries the display
+// key that asked first.
+func (f *Flow) solve(p problem, key string, clock float64, set *restrict.Set) (*synth.Result, bool, error) {
+	c := flowCall(&f.mu, f.problems, p)
+	ran := false
+	c.once.Do(func() {
+		ran = true
 		opts := synth.DefaultOptions(clock)
 		opts.Restrict = set
 		stop := f.Obs.Phase("synth", "key", key, "clock", clock)
@@ -267,20 +331,14 @@ func (f *Flow) synth(key string, clock float64, set *restrict.Set) (*synth.Resul
 		}
 		obs.Log().Debug("synthesized", "key", key, "met", res.Met, "area", res.Area(),
 			"iterations", res.Iterations, "sta_full", res.FullAnalyses, "sta_incremental", res.IncrementalUpdates)
-		f.mu.Lock()
-		f.synthOut[key] = obs.SynthOutcome{
-			Key: key, Clock: clock, Met: res.Met, Area: res.Area(),
-			Iterations: res.Iterations, FullAnalyses: res.FullAnalyses,
-			IncrementalUpdates: res.IncrementalUpdates,
-		}
-		f.mu.Unlock()
 		c.val = res
 	})
-	return c.val, c.err
+	return c.val, ran, c.err
 }
 
 // SynthOutcomes lists what every cached synthesis unit did, sorted by
-// cache key — the manifest's synth_outcomes section.
+// cache key — the manifest's synth_outcomes section. Keys that shared a
+// problem each keep their own row.
 func (f *Flow) SynthOutcomes() []obs.SynthOutcome {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -293,9 +351,18 @@ func (f *Flow) SynthOutcomes() []obs.SynthOutcome {
 }
 
 // Stats computes (cached, single-flight) the statistical timing of a
-// synthesis result.
+// synthesis result. key is the display key res was synthesized under;
+// the analysis is cached by that key's problem, so keys sharing a
+// synthesis share one analysis too. A result the flow did not
+// synthesize is cached under its key alone.
 func (f *Flow) Stats(key string, res *synth.Result) (*stattime.DesignStats, error) {
-	c := flowCall(&f.mu, f.statRes, key)
+	f.mu.Lock()
+	p, ok := f.problemOf[key]
+	f.mu.Unlock()
+	if !ok {
+		p = problem{limits: key}
+	}
+	c := flowCall(&f.mu, f.statRes, p)
 	c.once.Do(func() {
 		if err := f.checkCtx(); err != nil {
 			c.err = err

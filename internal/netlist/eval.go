@@ -6,63 +6,75 @@ import (
 	"stdcelltune/internal/stdcell"
 )
 
-// EvalCell evaluates the boolean function of a combinational cell (or the
-// output of a sequential cell given its captured state in ins["__state"]).
-// ins maps input pin names to values; the result maps output pin names to
-// values.
-func EvalCell(spec *stdcell.Spec, ins map[string]bool) (map[string]bool, error) {
-	out := make(map[string]bool, len(spec.Outputs))
-	get := func(pin string) bool { return ins[pin] }
+// muxData names the MUX4 data pins by select value.
+var muxData = [4]string{"D0", "D1", "D2", "D3"}
+
+// pinIndex returns the position of name in pins, or -1.
+func pinIndex(pins []string, name string) int {
+	for i, p := range pins {
+		if p == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// evalCell is the one definition of every cell function. in holds the
+// input values aligned with spec.Inputs, state the captured value of a
+// sequential cell; the outputs land in out, aligned with spec.Outputs.
+// A pin the function names but the spec lacks reads false.
+func evalCell(spec *stdcell.Spec, in []bool, state bool, out []bool) error {
+	get := func(pin string) bool {
+		i := pinIndex(spec.Inputs, pin)
+		return i >= 0 && in[i]
+	}
+	put := func(pin string, v bool) {
+		if i := pinIndex(spec.Outputs, pin); i >= 0 {
+			out[i] = v
+		}
+	}
 	switch spec.Kind {
 	case stdcell.KindInv:
-		out["Y"] = !get("A")
+		put("Y", !get("A"))
 	case stdcell.KindBuf:
-		out["Y"] = get("A")
+		put("Y", get("A"))
 	case stdcell.KindOr:
 		v := false
-		for _, p := range spec.Inputs {
-			v = v || get(p)
-		}
-		out["Y"] = v
-	case stdcell.KindNand:
-		v := true
-		for _, p := range spec.Inputs {
-			b := get(p)
-			if p == "AN" {
-				b = !b
-			}
-			v = v && b
-		}
-		out["Y"] = !v
-	case stdcell.KindNor:
-		v := false
-		for _, p := range spec.Inputs {
-			b := get(p)
-			if p == "AN" {
-				b = !b
-			}
+		for _, b := range in {
 			v = v || b
 		}
-		out["Y"] = !v
+		put("Y", v)
+	case stdcell.KindNand:
+		v := true
+		for i, p := range spec.Inputs {
+			v = v && in[i] != (p == "AN")
+		}
+		put("Y", !v)
+	case stdcell.KindNor:
+		v := false
+		for i, p := range spec.Inputs {
+			v = v || in[i] != (p == "AN")
+		}
+		put("Y", !v)
 	case stdcell.KindXnor:
 		v := false
-		for _, p := range spec.Inputs {
-			v = v != get(p)
+		for _, b := range in {
+			v = v != b
 		}
-		out["Y"] = !v
+		put("Y", !v)
 	case stdcell.KindAddFull, stdcell.KindAddCarry:
 		a, b, ci := get("A"), get("B"), get("CI")
-		out["S"] = a != b != ci
+		put("S", a != b != ci)
 		co := (a && b) || (ci && (a != b))
 		if spec.Kind == stdcell.KindAddCarry {
-			out["CON"] = !co
+			put("CON", !co)
 		} else {
-			out["CO"] = co
+			put("CO", co)
 		}
 	case stdcell.KindAddHalf:
 		a, b := get("A"), get("B")
-		out["S"] = a != b
-		out["CO"] = a && b
+		put("S", a != b)
+		put("CO", a && b)
 	case stdcell.KindMux:
 		if spec.Family == "MUX4" {
 			idx := 0
@@ -72,38 +84,72 @@ func EvalCell(spec *stdcell.Spec, ins map[string]bool) (map[string]bool, error) 
 			if get("S1") {
 				idx |= 2
 			}
-			out["Y"] = get(fmt.Sprintf("D%d", idx))
+			put("Y", get(muxData[idx]))
+		} else if get("S") {
+			put("Y", get("D1"))
 		} else {
-			if get("S") {
-				out["Y"] = get("D1")
-			} else {
-				out["Y"] = get("D0")
-			}
+			put("Y", get("D0"))
 		}
 	case stdcell.KindDFF, stdcell.KindLatch:
-		q := ins["__state"]
-		for _, o := range spec.Outputs {
-			if o == "QN" {
-				out[o] = !q
-			} else {
-				out[o] = q
-			}
+		for i, o := range spec.Outputs {
+			out[i] = state != (o == "QN")
 		}
 	case stdcell.KindTie:
-		out["Y"] = spec.Family == "TIEH"
+		put("Y", spec.Family == "TIEH")
 	default:
-		return nil, fmt.Errorf("netlist: cannot evaluate kind %v", spec.Kind)
+		return fmt.Errorf("netlist: cannot evaluate kind %v", spec.Kind)
 	}
-	return out, nil
+	return nil
+}
+
+// EvalCell evaluates the boolean function of a combinational cell (or the
+// output of a sequential cell given its captured state in ins["__state"]).
+// ins maps input pin names to values, a missing pin reading false; the
+// result maps output pin names to values.
+func EvalCell(spec *stdcell.Spec, ins map[string]bool) (map[string]bool, error) {
+	in := make([]bool, len(spec.Inputs))
+	for i, p := range spec.Inputs {
+		in[i] = ins[p]
+	}
+	out := make([]bool, len(spec.Outputs))
+	if err := evalCell(spec, in, ins["__state"], out); err != nil {
+		return nil, err
+	}
+	m := make(map[string]bool, len(out))
+	for i, p := range spec.Outputs {
+		m[p] = out[i]
+	}
+	return m, nil
 }
 
 // Simulator evaluates a mapped netlist cycle by cycle, for equivalence
-// checking against the source logic network.
+// checking against the source logic network and for power's activity
+// extraction. Construction resolves, per instance in topological order,
+// the net IDs of its inputs (aligned with Spec.Inputs, -1 when a pin is
+// unconnected) and of its outputs (aligned with Spec.Outputs); a step
+// then moves net values and flop state in slices indexed by ID and
+// allocates nothing per gate.
+//
+// A simulator is bound to the topology it was built on: after an
+// AddInstance, Connect or Drive, Step and Advance return an error
+// rather than simulate a stale design. A Resize between steps is
+// honoured, as every step reads each instance's current spec.
 type Simulator struct {
 	nl    *Netlist
+	gen   uint64 // nl.TopoGen() at construction
 	order []*Instance
-	state map[int]bool // per sequential-instance captured value
-	nets  map[int]bool // per net value after the last Step
+	ins   [][]int // per order position: input net IDs
+	outs  [][]int // per order position: output net IDs
+	seqs  []seqCapture
+	state []bool // per instance ID: captured value
+	nets  []bool // per net ID: value after the last step
+	in    []bool // scratch, one cell's inputs
+	out   []bool // scratch, one cell's outputs
+}
+
+// seqCapture is one sequential instance and the net its D pin samples.
+type seqCapture struct {
+	id, d int
 }
 
 // NewSimulator builds a simulator; all state elements start at zero.
@@ -112,14 +158,47 @@ func NewSimulator(nl *Netlist) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{nl: nl, order: order, state: make(map[int]bool), nets: make(map[int]bool)}
+	s := &Simulator{
+		nl: nl, gen: nl.TopoGen(), order: order,
+		ins:   make([][]int, len(order)),
+		outs:  make([][]int, len(order)),
+		state: make([]bool, nl.nextInst),
+		nets:  make([]bool, nl.NetExtent()),
+	}
+	n, width := 0, 0
+	for _, inst := range order {
+		n += len(inst.Spec.Inputs) + len(inst.Spec.Outputs)
+		width = max(width, len(inst.Spec.Inputs), len(inst.Spec.Outputs))
+	}
+	ids := make([]int, n)
+	netID := func(n *Net) int {
+		if n == nil {
+			return -1
+		}
+		return n.ID
+	}
+	for i, inst := range order {
+		spec := inst.Spec
+		s.ins[i], ids = ids[:len(spec.Inputs):len(spec.Inputs)], ids[len(spec.Inputs):]
+		for j, pin := range spec.Inputs {
+			s.ins[i][j] = netID(inst.In[pin])
+		}
+		s.outs[i], ids = ids[:len(spec.Outputs):len(spec.Outputs)], ids[len(spec.Outputs):]
+		for j, pin := range spec.Outputs {
+			s.outs[i][j] = netID(inst.Out[pin])
+		}
+		if spec.IsSequential() {
+			s.seqs = append(s.seqs, seqCapture{id: inst.ID, d: netID(inst.In["D"])})
+		}
+	}
+	s.in, s.out = make([]bool, width), make([]bool, width)
 	return s, nil
 }
 
 // SetState forces the captured value of a sequential instance by name.
 func (s *Simulator) SetState(instName string, v bool) {
 	for _, inst := range s.nl.Instances {
-		if inst.Name == instName {
+		if inst.Name == instName && inst.ID < len(s.state) {
 			s.state[inst.ID] = v
 			return
 		}
@@ -129,28 +208,8 @@ func (s *Simulator) SetState(instName string, v bool) {
 // Step applies primary-input values (by net name), settles combinational
 // logic, samples primary outputs, then clocks every sequential element.
 func (s *Simulator) Step(inputs map[string]bool) (map[string]bool, error) {
-	for _, n := range s.nl.Nets {
-		if n.PrimaryIn {
-			s.nets[n.ID] = inputs[n.Name]
-		}
-	}
-	for _, inst := range s.order {
-		ins := make(map[string]bool, len(inst.Spec.Inputs)+1)
-		for _, pin := range inst.Spec.Inputs {
-			if n := inst.In[pin]; n != nil {
-				ins[pin] = s.nets[n.ID]
-			}
-		}
-		if inst.Spec.IsSequential() {
-			ins["__state"] = s.state[inst.ID]
-		}
-		outs, err := EvalCell(inst.Spec, ins)
-		if err != nil {
-			return nil, err
-		}
-		for pin, n := range inst.Out {
-			s.nets[n.ID] = outs[pin]
-		}
+	if err := s.settle(inputs); err != nil {
+		return nil, err
 	}
 	result := make(map[string]bool)
 	for _, n := range s.nl.Nets {
@@ -160,16 +219,63 @@ func (s *Simulator) Step(inputs map[string]bool) (map[string]bool, error) {
 			}
 		}
 	}
-	// Clock edge: capture D.
-	for _, inst := range s.nl.Instances {
-		if inst.Spec.IsSequential() {
-			if d := inst.In["D"]; d != nil {
-				s.state[inst.ID] = s.nets[d.ID]
-			}
-		}
-	}
+	s.capture()
 	return result, nil
 }
 
-// NetValue returns the value of a net after the last Step.
-func (s *Simulator) NetValue(n *Net) bool { return s.nets[n.ID] }
+// Advance is Step without sampling the primary outputs, for callers
+// that read nets through NetValue.
+func (s *Simulator) Advance(inputs map[string]bool) error {
+	if err := s.settle(inputs); err != nil {
+		return err
+	}
+	s.capture()
+	return nil
+}
+
+// settle applies the primary inputs and evaluates every instance in
+// topological order.
+func (s *Simulator) settle(inputs map[string]bool) error {
+	if g := s.nl.TopoGen(); g != s.gen {
+		return fmt.Errorf("netlist: simulator of %s is stale: topology edited since it was built", s.nl.Name)
+	}
+	if ext := s.nl.NetExtent(); ext > len(s.nets) {
+		s.nets = append(s.nets, make([]bool, ext-len(s.nets))...)
+	}
+	for _, n := range s.nl.Nets {
+		if n.PrimaryIn {
+			s.nets[n.ID] = inputs[n.Name]
+		}
+	}
+	for i, inst := range s.order {
+		// A resize stays within the family, whose specs share their
+		// pin lists, so the IDs resolved at construction still align.
+		ins, outs := s.ins[i], s.outs[i]
+		in, out := s.in[:len(ins)], s.out[:len(outs)]
+		for j, id := range ins {
+			in[j] = id >= 0 && s.nets[id]
+		}
+		clear(out)
+		if err := evalCell(inst.Spec, in, s.state[inst.ID], out); err != nil {
+			return err
+		}
+		for j, id := range outs {
+			if id >= 0 {
+				s.nets[id] = out[j]
+			}
+		}
+	}
+	return nil
+}
+
+// capture is the clock edge: every sequential element takes its D.
+func (s *Simulator) capture() {
+	for _, q := range s.seqs {
+		if q.d >= 0 {
+			s.state[q.id] = s.nets[q.d]
+		}
+	}
+}
+
+// NetValue returns the value of a net after the last Step or Advance.
+func (s *Simulator) NetValue(n *Net) bool { return n.ID < len(s.nets) && s.nets[n.ID] }

@@ -73,8 +73,8 @@ func Estimate(nl *netlist.Netlist, timing *sta.Result, cfg Config) (*Report, err
 		return nil, err
 	}
 	rng := dist.NewRNG(cfg.Seed)
-	toggles := make(map[int]int)
-	prev := make(map[int]bool)
+	toggles := make([]int, nl.NetExtent()) // per net ID
+	prev := make([]bool, nl.NetExtent())
 	inputs := make(map[string]bool)
 	var names []string
 	for _, n := range nl.PrimaryInputs() {
@@ -90,7 +90,7 @@ func Estimate(nl *netlist.Netlist, timing *sta.Result, cfg Config) (*Report, err
 				inputs[name] = !inputs[name]
 			}
 		}
-		if _, err := sim.Step(inputs); err != nil {
+		if err := sim.Advance(inputs); err != nil {
 			return nil, err
 		}
 		for _, n := range nl.Nets {

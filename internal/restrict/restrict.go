@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 
+	"stdcelltune/internal/digest"
 	"stdcelltune/internal/stdcell"
 )
 
@@ -142,6 +143,7 @@ type Limit struct {
 // Set resolves to the fallbacks alone.
 type Table struct {
 	set   *Set
+	cat   *stdcell.Catalogue
 	specs map[*stdcell.Spec]specLimits
 }
 
@@ -156,7 +158,7 @@ type specLimits struct {
 // Resolve builds the limit table of a set over every spec of the
 // catalogue.
 func Resolve(s *Set, cat *stdcell.Catalogue) *Table {
-	t := &Table{set: s, specs: make(map[*stdcell.Spec]specLimits, len(cat.Specs))}
+	t := &Table{set: s, cat: cat, specs: make(map[*stdcell.Spec]specLimits, len(cat.Specs))}
 	n := 0
 	for _, spec := range cat.Specs {
 		n += len(spec.Outputs)
@@ -214,3 +216,28 @@ func (t *Table) Pin(spec *stdcell.Spec, pin string) Limit {
 // SinkSlew returns the tightest input-slew limit over all of the spec's
 // output pins: the bound an instance of it puts on each net it sinks.
 func (t *Table) SinkSlew(spec *stdcell.Spec) float64 { return t.of(spec).sink }
+
+// limitsDomain versions the Digest layout. Bump it when a field is
+// added or re-ordered below.
+const limitsDomain = "stdcelltune-limits/1"
+
+// Digest returns the canonical content hash of the resolved limits:
+// every catalogue spec in name order, each output pin's Limit in
+// Spec.Outputs order, floats encoded exactly. It names what the table
+// binds, not how the set was written: a nil set and a set whose every
+// window is looser than the fallbacks share one digest, and the order
+// of Put calls never shows. The window minima are not part of it, as
+// no legality check reads them.
+func (t *Table) Digest() string {
+	d := digest.New(limitsDomain)
+	for _, name := range t.cat.CellNames() {
+		spec := t.cat.Specs[name]
+		d.Str("spec", name)
+		for i, l := range t.Pins(spec) {
+			d.Str("pin", spec.Outputs[i])
+			d.Float("load", l.Load)
+			d.Float("slew", l.Slew)
+		}
+	}
+	return d.Sum()
+}

@@ -190,3 +190,67 @@ func TestTableMatchesSet(t *testing.T) {
 		t.Fatalf("uncatalogued spec: %+v", got)
 	}
 }
+
+// TestDigestNamesResolvedLimits checks that the digest is a function of
+// the resolved limits alone: a nil set and a set looser than every
+// fallback agree, the order of Put calls never shows, and tightening
+// one pin by one ULP changes it.
+func TestDigestNamesResolvedLimits(t *testing.T) {
+	cat := stdcell.NewCatalogue(stdcell.Typical)
+	last := stdcell.SlewAxis[len(stdcell.SlewAxis)-1]
+	base := Resolve(nil, cat).Digest()
+	if !strings.HasPrefix(base, "sha256:") {
+		t.Fatalf("digest %q lacks its scheme", base)
+	}
+
+	loose := NewSet("loose")
+	for _, name := range cat.CellNames() {
+		spec := cat.Spec(name)
+		for _, pin := range spec.Outputs {
+			loose.Put(name, pin, Window{MaxLoad: spec.MaxCap() * 2, MaxSlew: last * 2})
+		}
+	}
+	if got := Resolve(loose, cat).Digest(); got != base {
+		t.Errorf("set looser than the fallbacks: digest %s, want the nil set's %s", got, base)
+	}
+
+	windows := []struct {
+		cell, pin string
+		w         Window
+	}{
+		{"INV_4", "Y", Window{MaxLoad: 0.01, MaxSlew: 0.1}},
+		{"ADDF_1", "CO", Window{MaxLoad: 0.002, MaxSlew: 0.05}},
+		{"ND2_2", "Y", Window{MinLoad: 0.001, MaxLoad: 0.004, MaxSlew: 0.3}},
+	}
+	fwd, rev := NewSet("fwd"), NewSet("rev")
+	for i := range windows {
+		w := windows[i]
+		fwd.Put(w.cell, w.pin, w.w)
+		w = windows[len(windows)-1-i]
+		rev.Put(w.cell, w.pin, w.w)
+	}
+	tight := Resolve(fwd, cat).Digest()
+	if got := Resolve(rev, cat).Digest(); got != tight {
+		t.Errorf("Put order changed the digest: %s vs %s", got, tight)
+	}
+	if tight == base {
+		t.Error("binding windows left the digest at the unrestricted value")
+	}
+
+	ulp := NewSet("ulp")
+	for _, w := range windows {
+		ulp.Put(w.cell, w.pin, w.w)
+	}
+	w := windows[0].w
+	w.MaxSlew = math.Nextafter(w.MaxSlew, 0)
+	ulp.Put(windows[0].cell, windows[0].pin, w)
+	if got := Resolve(ulp, cat).Digest(); got == tight {
+		t.Error("slew limit one ULP tighter left the digest unchanged")
+	}
+	w = windows[0].w
+	w.MaxLoad = math.Nextafter(w.MaxLoad, 0)
+	ulp.Put(windows[0].cell, windows[0].pin, w)
+	if got := Resolve(ulp, cat).Digest(); got == tight {
+		t.Error("load limit one ULP tighter left the digest unchanged")
+	}
+}
