@@ -492,7 +492,7 @@ func BenchmarkCharacterize(b *testing.B) {
 
 // BenchmarkSynthesize times one full map+optimize of the MCU at the
 // medium clock with no restrictions — the synthesis unit the experiment
-// sweeps pay ~94% of their wall time in (BENCH_PR4.json tracks it). The
+// sweeps pay ~94% of their wall time in (BENCH_PR7.json tracks it). The
 // flow cache is deliberately bypassed: every iteration maps and sizes
 // from scratch.
 func BenchmarkSynthesize(b *testing.B) {

@@ -32,7 +32,7 @@
 //	obscheck -apijob /tmp/job.json -apiartifacts /tmp/index.json
 //	obscheck -journal /var/lib/stcd/jobs.wal
 //	obscheck -shard /tmp/shards.json
-//	obscheck -loadreport LOAD_PR8.json -metrics /tmp/metrics.prom
+//	obscheck -loadreport /tmp/load.json -metrics /tmp/metrics.prom
 //	obscheck -apispec docs/API.md
 package main
 

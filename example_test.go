@@ -1,6 +1,7 @@
 package stdcelltune_test
 
 import (
+	"context"
 	"fmt"
 
 	"stdcelltune"
@@ -27,16 +28,17 @@ func ExampleSweepBounds() {
 	// [1 0.05 0.03 0.01]
 }
 
-// ExampleTune restricts a small statistical library with the sigma
+// ExampleTuneCtx restricts a small statistical library with the sigma
 // ceiling method and prints what survives.
-func ExampleTune() {
+func ExampleTuneCtx() {
+	ctx := context.Background()
 	cat := stdcelltune.NewCatalogue(stdcelltune.Typical)
-	stat, err := stdcelltune.Characterize(cat, 10, 1)
+	stat, err := stdcelltune.CharacterizeCtx(ctx, cat, stdcelltune.CharacterizeOptions{Instances: 10, Seed: 1})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	windows, rep, err := stdcelltune.Tune(stat, stdcelltune.SigmaCeiling, 0.02)
+	windows, rep, err := stdcelltune.TuneCtx(ctx, stat, stdcelltune.TuneOptions{Method: stdcelltune.SigmaCeiling, Bound: 0.02})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,8 +17,9 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	cat := stdcelltune.NewCatalogue(stdcelltune.Typical)
-	stat, err := stdcelltune.Characterize(cat, 30, 1)
+	stat, err := stdcelltune.CharacterizeCtx(ctx, cat, stdcelltune.CharacterizeOptions{Instances: 30, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -25,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := stdcelltune.Synthesize(mcu, cat, 4.0, nil)
+	res, err := stdcelltune.SynthesizeCtx(ctx, mcu, cat, stdcelltune.SynthesizeOptions{Clock: 4.0})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	windows, _, err := stdcelltune.Tune(stat, stdcelltune.SigmaCeiling, 0.001)
+	windows, _, err := stdcelltune.TuneCtx(ctx, stat, stdcelltune.TuneOptions{Method: stdcelltune.SigmaCeiling, Bound: 0.001})
 	if err != nil {
 		log.Fatal(err)
 	}

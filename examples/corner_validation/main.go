@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := stdcelltune.Synthesize(mcu, cat, 3.0, nil)
+	res, err := stdcelltune.SynthesizeCtx(context.Background(), mcu, cat, stdcelltune.SynthesizeOptions{Clock: 3.0})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 	"strings"
@@ -117,11 +119,15 @@ func main() {
 	fmt.Printf("loaded statistical library %q with %d cells\n\n", lib.Name, len(stat.Cells))
 
 	for _, bound := range []float64{0.02, 0.008, 0.003} {
-		windows, rep, err := stdcelltune.Tune(stat, stdcelltune.SigmaCeiling, bound)
+		windows, rep, err := stdcelltune.TuneCtx(context.Background(), stat, stdcelltune.TuneOptions{Method: stdcelltune.SigmaCeiling, Bound: bound})
+		fmt.Printf("sigma ceiling %.3f ns:\n", bound)
+		if errors.Is(err, stdcelltune.ErrWindowInfeasible) {
+			fmt.Printf("  every pin EXCLUDED (no usable region)\n%s\n", strings.Repeat("-", 60))
+			continue
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("sigma ceiling %.3f ns:\n", bound)
 		for _, p := range rep.Pins {
 			w, _ := windows.Window(p.Cell, p.Pin)
 			status := fmt.Sprintf("keep %.0f%% of LUT, window %s", 100*p.Retained, w)

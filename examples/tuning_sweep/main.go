@@ -5,6 +5,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -14,8 +16,9 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 	cat := stdcelltune.NewCatalogue(stdcelltune.Typical)
-	stat, err := stdcelltune.Characterize(cat, 50, 1)
+	stat, err := stdcelltune.CharacterizeCtx(ctx, cat, stdcelltune.CharacterizeOptions{Instances: 50, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,11 +29,11 @@ func main() {
 		log.Fatal(err)
 	}
 	const clock = 3.0
-	base, err := stdcelltune.Synthesize(mcu, cat, clock, nil)
+	base, err := stdcelltune.SynthesizeCtx(ctx, mcu, cat, stdcelltune.SynthesizeOptions{Clock: clock})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bs, err := stdcelltune.AnalyzeVariation(base, stat)
+	bs, err := stdcelltune.AnalyzeVariationCtx(ctx, base, stat, stdcelltune.AnalyzeVariationOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,19 +41,22 @@ func main() {
 	fmt.Printf("%-10s %-6s %-12s %-12s %-12s\n", "ceiling", "met", "sigma (ns)", "sigma dec %", "area inc %")
 
 	for _, bound := range stdcelltune.SweepBounds(stdcelltune.SigmaCeiling) {
-		windows, _, err := stdcelltune.Tune(stat, stdcelltune.SigmaCeiling, bound)
-		if err != nil {
+		windows, _, err := stdcelltune.TuneCtx(ctx, stat, stdcelltune.TuneOptions{Method: stdcelltune.SigmaCeiling, Bound: bound})
+		infeasible := errors.Is(err, stdcelltune.ErrWindowInfeasible) // every pin excluded: nothing to synthesize with
+		if err != nil && !infeasible {
 			log.Fatal(err)
 		}
-		res, err := stdcelltune.Synthesize(mcu, cat, clock, windows)
-		if err != nil {
-			log.Fatal(err)
+		var res *stdcelltune.SynthesisResult
+		if !infeasible {
+			if res, err = stdcelltune.SynthesizeCtx(ctx, mcu, cat, stdcelltune.SynthesizeOptions{Clock: clock, Windows: windows}); err != nil {
+				log.Fatal(err)
+			}
 		}
-		if !res.Met {
+		if infeasible || !res.Met {
 			fmt.Printf("%-10g %-6v %-12s %-12s %-12s\n", bound, false, "-", "-", "-")
 			continue
 		}
-		ds, err := stdcelltune.AnalyzeVariation(res, stat)
+		ds, err := stdcelltune.AnalyzeVariationCtx(ctx, res, stat, stdcelltune.AnalyzeVariationOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

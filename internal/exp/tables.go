@@ -150,12 +150,13 @@ func (f *Flow) Table3() (*Table3Result, error) {
 			cells = append(cells, cell{m, clk})
 		}
 	}
-	// The worker pool bounds concurrency (slots are acquired before a
-	// goroutine spawns), recovers per-cell panics into errors, honours
-	// the flow context, and joins every cell error instead of dropping
-	// all but the first.
+	// One pool task per cell, not index ranges: a cell's cost is a
+	// whole set of tuning syntheses and varies by cell. The pool bounds
+	// concurrency (slots are acquired before a goroutine spawns),
+	// recovers per-cell panics into errors, honours the flow context,
+	// and joins every cell error instead of dropping all but the first.
 	results := make([]MethodBest, len(cells))
-	err = robust.ForEach(f.ctx, poolWorkers(), len(cells), func(_ context.Context, i int) error {
+	err = robust.ForEachNamed(f.ctx, "table3.tune", poolWorkers(), len(cells), func(_ context.Context, i int) error {
 		c := cells[i]
 		b, err := f.bestBound(c.m, c.clk)
 		if err != nil {

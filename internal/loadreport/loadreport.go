@@ -1,8 +1,8 @@
 // Package loadreport defines the versioned JSON document the stcload
 // harness emits — stdcelltune-load/1 — and its validation. The schema
 // is API surface the same way the job document is: `obscheck
-// -loadreport` gates CI on it, and checked-in baselines (LOAD_PR8.json)
-// are read back by humans and tools alike.
+// -loadreport` gates CI on it (make load-smoke), and reports are read
+// back by humans and tools alike.
 package loadreport
 
 import (

@@ -14,9 +14,9 @@ import (
 // inside the containing sub-bucket, so the relative error of any
 // reported quantile is bounded by the sub-bucket width over the bucket
 // base: 1/hdrSubCount (~3.1%) for values >= hdrSubCount ns, exact below
-// that (the first hdrSubCount buckets are unit-width). Contrast with
-// the coarse power-of-two Histogram, whose buckets are a full octave
-// wide (up to 2x error) — serving-path latency SLOs use this type.
+// that (the first hdrSubCount buckets are unit-width). It is the
+// registry's one histogram type: latencies (Observe) and unitless
+// magnitudes such as dirty-cone sizes (Record) alike.
 //
 // Observe/Record are lock-free: one atomic add per bucket plus count
 // and sum. Snapshot copies the counts for merging across shards or
@@ -172,7 +172,7 @@ func (s *HDRSnapshot) Mean() float64 {
 }
 
 // HDRSummary is the JSON rendering of an HDR histogram, in
-// milliseconds (the unit convention of HistSummary).
+// milliseconds.
 type HDRSummary struct {
 	Count  int64   `json:"count"`
 	SumMS  float64 `json:"sum_ms"`

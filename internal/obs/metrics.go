@@ -5,12 +5,12 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Registry is a flat, dependency-free metrics namespace: counters
 // (monotonic int64), gauges (float64, settable), gauge funcs (computed
-// on read — ratios live here), and log2-bucketed duration histograms.
+// on read — ratios live here), and high-resolution log-linear
+// histograms (hdr.go).
 // Get-or-create accessors make instrumentation sites declaration-free
 // and idempotent. All methods are safe for concurrent use.
 type Registry struct {
@@ -18,7 +18,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() float64
-	hists      map[string]*Histogram
 	hdrs       map[string]*HDRHistogram
 
 	// Labeled families (prom.go): get-or-create vecs whose children are
@@ -35,7 +34,6 @@ func NewRegistry() *Registry {
 		counters:    make(map[string]*Counter),
 		gauges:      make(map[string]*Gauge),
 		gaugeFuncs:  make(map[string]func() float64),
-		hists:       make(map[string]*Histogram),
 		hdrs:        make(map[string]*HDRHistogram),
 		counterVecs: make(map[string]*CounterVec),
 		gaugeVecs:   make(map[string]*GaugeVec),
@@ -87,21 +85,8 @@ func (r *Registry) GaugeFunc(name string, f func() float64) {
 	r.mu.Unlock()
 }
 
-// Histogram returns (creating on first use) the named duration
-// histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
 // HDR returns (creating on first use) the named high-resolution
-// log-linear histogram (hdr.go) — the serving-path latency shape.
+// log-linear histogram (hdr.go), the registry's one histogram type.
 func (r *Registry) HDR(name string) *HDRHistogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -114,13 +99,13 @@ func (r *Registry) HDR(name string) *HDRHistogram {
 }
 
 // Snapshot renders every metric into a plain JSON-marshalable map:
-// counters and gauges by value, histograms as {count, sum_ms, p50_ms,
-// p90_ms, p99_ms}. Computed gauges are evaluated here; a NaN result is
-// reported as -1 so the snapshot stays valid JSON.
+// counters and gauges by value, histograms as HDRSummary. Computed
+// gauges are evaluated here; a NaN result is reported as -1 so the
+// snapshot stays valid JSON.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.hists))
+	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.gaugeFuncs)+len(r.hdrs))
 	for name, c := range r.counters {
 		out[name] = c.Value()
 	}
@@ -133,9 +118,6 @@ func (r *Registry) Snapshot() map[string]any {
 			v = -1
 		}
 		out[name] = v
-	}
-	for name, h := range r.hists {
-		out[name] = h.Summary()
 	}
 	for name, h := range r.hdrs {
 		out[name] = h.Summary()
@@ -192,95 +174,3 @@ func (g *Gauge) Add(delta float64) {
 
 // Value returns the gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// histBuckets is the bucket count of Histogram: bucket i counts
-// observations with floor(log2(ns)) == i, covering 1 ns up to ~9.2 s in
-// the last bucket.
-const histBuckets = 64
-
-// Histogram accumulates durations into power-of-two nanosecond buckets.
-// Observe is lock-free (one atomic add per bucket); quantiles are
-// approximate (upper bucket bound), which is plenty for "where does the
-// time go" debugging.
-type Histogram struct {
-	count   atomic.Int64
-	sumNS   atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d.Nanoseconds()) }
-
-// ObserveN records one unitless observation of magnitude n — e.g. the
-// dirty-cone size of an incremental timing update. Magnitudes share the
-// log2 bucket layout with durations; a unitless histogram's Summary
-// quantiles are then plain powers of two scaled by 1e-6 in the *MS
-// fields (the sta.dirty_cone consumer in cmd/obscheck only checks
-// counts, which are unit-free).
-func (h *Histogram) ObserveN(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	h.count.Add(1)
-	h.sumNS.Add(n)
-	b := 0
-	for v := n; v > 1 && b < histBuckets-1; v >>= 1 {
-		b++
-	}
-	h.buckets[b].Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// HistSummary is the JSON rendering of a histogram.
-type HistSummary struct {
-	Count int64   `json:"count"`
-	SumMS float64 `json:"sum_ms"`
-	P50MS float64 `json:"p50_ms"`
-	P90MS float64 `json:"p90_ms"`
-	P99MS float64 `json:"p99_ms"`
-}
-
-// Summary renders counts and approximate quantiles. A quantile is
-// interpolated linearly inside its power-of-two bucket (bucket b >= 1
-// covers [2^b, 2^(b+1)) ns; bucket 0 covers [0, 2)), so the reported
-// value always lies inside the containing bucket: the error is bounded
-// by the bucket width (a factor of 2 in the value), with no systematic
-// upper-bound bias. For tighter error on serving paths use
-// HDRHistogram, whose sub-bucketed buckets bound the relative error at
-// 1/32.
-func (h *Histogram) Summary() HistSummary {
-	var counts [histBuckets]int64
-	total := int64(0)
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	s := HistSummary{Count: h.count.Load(), SumMS: float64(h.sumNS.Load()) / 1e6}
-	if total == 0 {
-		return s
-	}
-	q := func(p float64) float64 {
-		target := int64(math.Ceil(p * float64(total)))
-		if target < 1 {
-			target = 1
-		}
-		seen := int64(0)
-		for i, c := range counts {
-			if seen+c >= target {
-				low := 0.0
-				if i > 0 {
-					low = math.Pow(2, float64(i))
-				}
-				high := math.Pow(2, float64(i+1))
-				frac := float64(target-seen) / float64(c)
-				return (low + frac*(high-low)) / 1e6 // interpolated within the bucket, in ms
-			}
-			seen += c
-		}
-		return math.Pow(2, histBuckets) / 1e6
-	}
-	s.P50MS, s.P90MS, s.P99MS = q(0.50), q(0.90), q(0.99)
-	return s
-}

@@ -265,10 +265,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for n, f := range r.gaugeFuncs {
 		funcs[n] = f
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
 	hdrs := make(map[string]*HDRHistogram, len(r.hdrs))
 	for n, h := range r.hdrs {
 		hdrs[n] = h
@@ -326,9 +322,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			f.lines = append(f.lines, fmt.Sprintf("%s%s %s", promName(v.name), labelString(v.labels, key), promFloat(g.Value())))
 		}
 		v.mu.Unlock()
-	}
-	for n, h := range hists {
-		writeLogHist(fam(promName(n), "histogram"), promName(n), "", h)
 	}
 	for n, h := range hdrs {
 		writeHDRHist(fam(promName(n), "histogram"), promName(n), "", h.Snapshot())
@@ -396,28 +389,6 @@ func (f *promFamily) histLine(name, suffix, extraLabels, bucketLabel, value stri
 		labels = "{" + labels + "}"
 	}
 	f.lines = append(f.lines, name+suffix+labels+" "+value)
-}
-
-// writeLogHist renders the legacy power-of-two Histogram as cumulative
-// buckets with le bounds 2^(i+1) ns expressed in seconds.
-func writeLogHist(f *promFamily, name, extraLabels string, h *Histogram) {
-	var cum int64
-	maxNonEmpty := -1
-	counts := make([]int64, histBuckets)
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-		if counts[i] > 0 {
-			maxNonEmpty = i
-		}
-	}
-	for i := 0; i <= maxNonEmpty; i++ {
-		cum += counts[i]
-		bound := math.Pow(2, float64(i+1)) / 1e9
-		f.histLine(name, "_bucket", extraLabels, fmt.Sprintf("le=%q", promFloat(bound)), strconv.FormatInt(cum, 10))
-	}
-	f.histLine(name, "_bucket", extraLabels, `le="+Inf"`, strconv.FormatInt(h.Count(), 10))
-	f.histLine(name, "_sum", extraLabels, "", promFloat(float64(h.sumNS.Load())/1e9))
-	f.histLine(name, "_count", extraLabels, "", strconv.FormatInt(h.Count(), 10))
 }
 
 // writeHDRHist renders an HDR snapshot as cumulative buckets at the

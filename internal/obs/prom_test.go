@@ -20,7 +20,7 @@ func buildPromRegistry() *Registry {
 	r.Gauge("queue.depth").Set(2.5)
 	r.GaugeFunc("lut.hint_hit_ratio", func() float64 { return 0.75 })
 
-	h := r.Histogram("pool.task_time")
+	h := r.HDR("pool.task_time")
 	h.Observe(900 * time.Nanosecond)
 	h.Observe(3 * time.Microsecond)
 	h.Observe(3 * time.Microsecond)

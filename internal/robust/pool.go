@@ -18,8 +18,8 @@ var (
 	poolTasks     = obs.Default().Counter("robust.pool_tasks")
 	poolPanics    = obs.Default().Counter("robust.pool_panics")
 	poolRejected  = obs.Default().Counter("robust.pool_rejected") // submissions refused by cancellation
-	poolQueueWait = obs.Default().Histogram("robust.queue_wait")
-	poolTaskTime  = obs.Default().Histogram("robust.task_time")
+	poolQueueWait = obs.Default().HDR("robust.queue_wait")
+	poolTaskTime  = obs.Default().HDR("robust.task_time")
 )
 
 // Group is a bounded worker pool tied to a context. Tasks submitted
@@ -122,18 +122,18 @@ func (g *Group) Wait() error {
 	return errors.Join(g.errs...)
 }
 
-// ForEach runs n indexed tasks on a pool of the given width and waits
-// for completion. Cancellation stops unsubmitted tasks; already-running
-// tasks drain before ForEach returns. The returned error joins every
+// ForEachNamed runs n indexed tasks, one pool task each, on a pool of
+// the given width and waits for completion, all inside one trace span
+// carrying the batch name, the task count and the pool width (one span
+// per batch, not per task; with no tracer on ctx the span is a nil
+// no-op). Cancellation stops unsubmitted tasks; already-running tasks
+// drain before ForEachNamed returns. The returned error joins every
 // task error (and the context error, once, if cancelled).
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	return ForEachNamed(ctx, "pool.batch", workers, n, fn)
-}
-
-// ForEachNamed is ForEach wrapped in a trace span carrying the batch
-// name, the task count and the pool width — one span per batch, not per
-// task, so a thousand-path analysis stays one readable row in the
-// trace. With no tracer on ctx the span is free (nil no-op).
+//
+// One task per item is for coarse, uneven work — the experiment sweeps,
+// Table 3's per-cell tuning — whose items differ by whole syntheses, so
+// that a static split would idle a core. Fine-grained index loops use
+// ForRanges.
 func ForEachNamed(ctx context.Context, name string, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -144,6 +144,62 @@ func ForEachNamed(ctx context.Context, name string, workers, n int, fn func(ctx 
 	for i := 0; i < n; i++ {
 		i := i
 		if !g.Go(func(ctx context.Context) error { return fn(ctx, i) }) {
+			break
+		}
+	}
+	return g.Wait()
+}
+
+// Split divides [0, n) into at most DefaultWorkers() contiguous,
+// non-empty ranges whose sizes differ by at most one: range r is
+// [bounds[r], bounds[r+1]). For n <= 0 it returns {0}, no ranges.
+func Split(n int) []int {
+	k := min(DefaultWorkers(), n)
+	if k < 1 {
+		return []int{0}
+	}
+	bounds := make([]int, k+1)
+	for r := 1; r <= k; r++ {
+		bounds[r] = r * n / k
+	}
+	return bounds
+}
+
+// ForRanges runs fn over the contiguous index ranges [bounds[r],
+// bounds[r+1]) and waits for them. It is the fan-out of every
+// fine-grained index loop (worst-path backtracking, per-path
+// statistical timing, Monte-Carlo rows, the cell fold): a single range
+// runs inline on the caller's goroutine, and more ranges run as one
+// pool task each, at most DefaultWorkers() at a time. Either way the
+// batch opens the same trace span (name, range count, width), a
+// panicking range surfaces as a *PanicError, and a range that has not
+// started when ctx is cancelled never starts; its context error is
+// returned instead. fn should check ctx between items of a long range.
+//
+// Results must be index-addressed (item i writes slot i), so they do
+// not depend on how the ranges fall. Coarse, uneven tasks whose costs
+// differ by whole syntheses keep one task per item (ForEachNamed):
+// static chunks of them would idle a core.
+func ForRanges(ctx context.Context, name string, bounds []int, fn func(ctx context.Context, lo, hi int) error) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	n := max(len(bounds)-1, 0)
+	workers := min(n, DefaultWorkers())
+	span := obs.TracerFrom(ctx).Start(name, "pool", "tasks", n, "workers", workers)
+	defer span.End()
+	run := func(ctx context.Context, r int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return fn(ctx, bounds[r], bounds[r+1])
+	}
+	if n == 1 {
+		return Safe(func() error { return run(ctx, 0) })
+	}
+	g := NewGroup(ctx, workers)
+	for r := 0; r < n; r++ {
+		if !g.Go(func(ctx context.Context) error { return run(ctx, r) }) {
 			break
 		}
 	}

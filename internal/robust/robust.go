@@ -1,6 +1,8 @@
 // Package robust provides the fault-tolerance primitives the experiment
 // pipeline is built on: a bounded, context-cancellable worker pool with
-// per-task panic recovery and full error aggregation (pool.go), a
+// per-task panic recovery and full error aggregation, and its two
+// fan-outs — ForRanges for fine-grained index loops, ForEachNamed for
+// coarse, uneven tasks (pool.go) — a
 // retry helper with exponential backoff and jitter for transient
 // failures (retry.go), and the quarantine report used to degrade
 // gracefully when individual library cells turn out to be unusable

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stdcelltune/internal/obs"
 )
 
 func TestGroupRunsEverything(t *testing.T) {
@@ -161,7 +164,7 @@ func TestNewGroupDefaults(t *testing.T) {
 
 func TestForEach(t *testing.T) {
 	seen := make([]bool, 64)
-	err := ForEach(context.Background(), 8, len(seen), func(_ context.Context, i int) error {
+	err := ForEachNamed(context.Background(), "test.batch", 8, len(seen), func(_ context.Context, i int) error {
 		seen[i] = true
 		return nil
 	})
@@ -178,7 +181,7 @@ func TestForEach(t *testing.T) {
 func TestForEachStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := ForEach(ctx, 1, 1000, func(_ context.Context, i int) error {
+	err := ForEachNamed(ctx, "test.batch", 1, 1000, func(_ context.Context, i int) error {
 		if i == 3 {
 			cancel()
 		}
@@ -190,6 +193,159 @@ func TestForEachStopsOnCancel(t *testing.T) {
 	}
 	if n := ran.Load(); n >= 1000 {
 		t.Errorf("cancellation did not stop submissions (%d ran)", n)
+	}
+}
+
+func TestSplitTilesRange(t *testing.T) {
+	workers := DefaultWorkers()
+	for _, n := range []int{0, 1, workers - 1, workers, workers + 1, 7, 50, 1000} {
+		bounds := Split(n)
+		if bounds[0] != 0 {
+			t.Fatalf("n=%d: bounds start at %d", n, bounds[0])
+		}
+		if last := bounds[len(bounds)-1]; last != max(n, 0) {
+			t.Fatalf("n=%d: bounds end at %d", n, last)
+		}
+		ranges := len(bounds) - 1
+		if want := min(n, workers); ranges != max(want, 0) {
+			t.Fatalf("n=%d: %d ranges, want %d", n, ranges, want)
+		}
+		lo, hi := n, 0
+		for r := 0; r < ranges; r++ {
+			size := bounds[r+1] - bounds[r]
+			if size < 1 {
+				t.Fatalf("n=%d: range %d is empty (%v)", n, r, bounds)
+			}
+			lo, hi = min(lo, size), max(hi, size)
+		}
+		if ranges > 0 && hi-lo > 1 {
+			t.Fatalf("n=%d: range sizes %d..%d are not balanced (%v)", n, lo, hi, bounds)
+		}
+	}
+}
+
+func TestForRangesRunsEveryIndexOnce(t *testing.T) {
+	for _, bounds := range [][]int{Split(1000), Split(1), {0, 3, 4, 10}, {0, 1, 2, 3, 4, 5, 6, 7, 8}} {
+		n := bounds[len(bounds)-1]
+		seen := make([]atomic.Int32, n)
+		err := ForRanges(context.Background(), "test.ranges", bounds, func(_ context.Context, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				seen[i].Add(1)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range seen {
+			if c := seen[i].Load(); c != 1 {
+				t.Fatalf("bounds %v: index %d ran %d times", bounds, i, c)
+			}
+		}
+	}
+}
+
+func TestForRangesNoRangesRunsNothing(t *testing.T) {
+	err := ForRanges(context.Background(), "test.ranges", Split(0), func(context.Context, int, int) error {
+		t.Error("a range ran for n = 0")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goid returns the current goroutine's id, parsed from its stack header
+// ("goroutine 42 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+func TestForRangesSingleRangeRunsInline(t *testing.T) {
+	caller := goid()
+	var ranIn string
+	err := ForRanges(context.Background(), "test.ranges", []int{0, 5}, func(_ context.Context, lo, hi int) error {
+		ranIn = goid()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ranIn != caller {
+		t.Fatalf("single range ran on goroutine %s, caller is %s", ranIn, caller)
+	}
+}
+
+func TestForRangesCancelStartsNoLaterRange(t *testing.T) {
+	// One CPU: the pool is one wide, so ranges run in order, one at a
+	// time, and "later" is well defined.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bounds := make([]int, 101) // 100 ranges of one index each
+	for r := range bounds {
+		bounds[r] = r
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var started []int
+	err := ForRanges(ctx, "test.ranges", bounds, func(_ context.Context, lo, hi int) error {
+		started = append(started, lo)
+		if lo == 3 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if want := []int{0, 1, 2, 3}; fmt.Sprint(started) != fmt.Sprint(want) {
+		t.Errorf("ranges %v started, want %v", started, want)
+	}
+
+	// Cancelled before the call: even the inline single range never starts.
+	err = ForRanges(ctx, "test.ranges", []int{0, 5}, func(context.Context, int, int) error {
+		t.Error("range started on a cancelled context")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("inline: want context.Canceled, got %v", err)
+	}
+}
+
+func TestForRangesPanicBecomesError(t *testing.T) {
+	for _, bounds := range [][]int{{0, 4}, {0, 2, 4}} {
+		err := ForRanges(context.Background(), "test.ranges", bounds, func(_ context.Context, lo, hi int) error {
+			if lo == 0 {
+				panic("range boom")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "range boom" {
+			t.Fatalf("bounds %v: want *PanicError(range boom), got %T: %v", bounds, err, err)
+		}
+	}
+}
+
+func TestForRangesSpanCarriesBatchName(t *testing.T) {
+	for _, bounds := range [][]int{{0, 4}, {0, 2, 4}} {
+		tr := obs.NewTracer(nil)
+		var ended []obs.SpanEvent
+		tr.SetSink(func(e obs.SpanEvent) { ended = append(ended, e) })
+		ctx := obs.WithTracer(context.Background(), tr)
+		if err := ForRanges(ctx, "test.batch_name", bounds, func(context.Context, int, int) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if len(ended) != 1 {
+			t.Fatalf("bounds %v: %d spans, want one batch span", bounds, len(ended))
+		}
+		e := ended[0]
+		if e.Name != "test.batch_name" || e.Cat != "pool" {
+			t.Fatalf("bounds %v: span %q/%q, want test.batch_name/pool", bounds, e.Name, e.Cat)
+		}
+		if e.Args["tasks"] != len(bounds)-1 {
+			t.Errorf("bounds %v: span tasks = %v, want %d", bounds, e.Args["tasks"], len(bounds)-1)
+		}
 	}
 }
 

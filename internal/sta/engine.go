@@ -25,7 +25,7 @@ var engineVerify = os.Getenv("STA_VERIFY") == "1"
 var (
 	staFullAnalyses = obs.Default().Counter("sta.full_analyses")
 	staIncremental  = obs.Default().Counter("sta.incremental_updates")
-	staDirtyCone    = obs.Default().Histogram("sta.dirty_cone")
+	staDirtyCone    = obs.Default().HDR("sta.dirty_cone")
 )
 
 // FullAnalyses returns the process-wide count of full timing analyses
@@ -453,7 +453,7 @@ func (e *Engine) update() (full bool, err error) {
 			return false, err
 		}
 		staIncremental.Add(1)
-		staDirtyCone.ObserveN(int64(cone))
+		staDirtyCone.Record(int64(cone))
 		e.incCount++
 		if changed {
 			e.prev = nil

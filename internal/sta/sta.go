@@ -369,31 +369,25 @@ func (r *Result) WorstPaths() []Path {
 	return out
 }
 
-// WorstPathsCtx is WorstPaths with the backtracking fanned out over the
-// robust worker pool. Each endpoint's path lands at its endpoint's index,
-// so the result order (and every path in it) is identical to the serial
-// WorstPaths; backtracking only reads the Result, so workers never
-// contend. Cancelling the context abandons unstarted endpoints and
-// returns the context error.
+// WorstPathsCtx is WorstPaths with the backtracking fanned out as
+// contiguous endpoint ranges (robust.ForRanges). Each endpoint's path
+// lands at its endpoint's index, so the result order (and every path in
+// it) is identical to the serial WorstPaths; backtracking only reads
+// the Result, so ranges never contend. Cancelling the context abandons
+// the remaining endpoints and returns the context error.
 func (r *Result) WorstPathsCtx(ctx context.Context) ([]Path, error) {
 	out := make([]Path, len(r.Endpoints))
-	if workers := robust.DefaultWorkers(); workers > 1 {
-		err := robust.ForEach(ctx, workers, len(r.Endpoints), func(_ context.Context, i int) error {
+	err := robust.ForRanges(ctx, "sta.worst_paths", robust.Split(len(r.Endpoints)), func(ctx context.Context, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			out[i] = r.WorstPath(r.Endpoints[i])
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		return out, nil
-	}
-	// One worker means no parallelism to win; skip the pool's per-task
-	// goroutine and run inline (the result is identical either way).
-	for i, ep := range r.Endpoints {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = r.WorstPath(ep)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package statlib
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -151,12 +152,15 @@ func TestFoldSamplesRejects(t *testing.T) {
 }
 
 // TestFoldSamplesWorkerInvariant: the parallel fold writes the same
-// bytes at every worker count, and its ranges cover every cell exactly
-// once, in order, in at most the worker count of ranges.
+// bytes at every worker count, variation.SampleRows generates the same
+// row bits however its rows fall into ranges, and the fold's ranges
+// cover every cell exactly once, in order, in at most the worker count
+// of ranges.
 func TestFoldSamplesWorkerInvariant(t *testing.T) {
 	cat := stdcell.NewCatalogue(stdcell.Slow)
 	layout := cat.Layout()
-	rows, err := variation.SamplesCtx(context.Background(), cat, variation.Config{N: 5, Seed: 4, CharNoise: 0.02})
+	cfg := variation.Config{N: 5, Seed: 4, CharNoise: 0.02}
+	rows, err := variation.SamplesCtx(context.Background(), cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +168,20 @@ func TestFoldSamplesWorkerInvariant(t *testing.T) {
 	for _, procs := range []int{1, 2, 3, 8} {
 		prev := runtime.GOMAXPROCS(procs)
 		got := foldOutput(FoldSamples("stat", layout, rows))
+		// Rows [1, 5) split into ranges differently at every width;
+		// each row must still be the same bits.
+		sub, err := variation.SampleRows(context.Background(), cat, cfg, 1, cfg.N, 0)
 		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, row := range sub {
+			for j, v := range row {
+				if math.Float64bits(v) != math.Float64bits(rows[1+k][j]) {
+					t.Fatalf("GOMAXPROCS=%d: SampleRows row %d entry %d = %v, want %v", procs, 1+k, j, v, rows[1+k][j])
+				}
+			}
+		}
 		if want == "" {
 			want = got
 		} else if got != want {

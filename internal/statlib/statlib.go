@@ -149,9 +149,7 @@ func FoldSamples(name string, layout *stdcell.Layout, rows [][]float64) (*Librar
 		err error
 	}
 	out := make([]folded, len(layout.Cells))
-	bounds := foldRanges(layout, robust.DefaultWorkers())
-	err := robust.ForEachNamed(context.TODO(), "statlib.fold", len(bounds)-1, len(bounds)-1, func(_ context.Context, r int) error {
-		lo, hi := bounds[r], bounds[r+1]
+	err := robust.ForRanges(context.TODO(), "statlib.fold", foldRanges(layout, robust.DefaultWorkers()), func(_ context.Context, lo, hi int) error {
 		// Two stat tables (mean, sigma) per rise and fall table of an
 		// entry: the range's exact volume, so its slab is one chunk.
 		slab := lut.NewSlab(4 * (cellStart(layout, hi) - cellStart(layout, lo)))

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"stdcelltune/internal/dist"
 	"stdcelltune/internal/obs"
@@ -98,21 +97,20 @@ func Analyze(r *sta.Result, stat *statlib.Library, rho float64) (*DesignStats, e
 }
 
 // AnalyzeCtx is Analyze bound to a context. The per-path analysis fans
-// out over the robust worker pool: every path's distribution lands at
-// its path's index and the per-worker degradation tallies merge by
-// summation, so the result — path order, every distribution, the
-// design convolution and the Degraded counts — is identical to a
-// serial run. Repeated (cell, arc, load, slew) step lookups within the
-// call are interned, which collapses the bilinear interpolation work on
-// designs where many paths share cell instances. On a single-CPU
-// machine (robust.DefaultWorkers() == 1) the same loop runs inline —
-// the pool would cost goroutine churn and buy no parallelism.
+// out as contiguous path ranges (robust.ForRanges): every path's
+// distribution lands at its path's index and the per-range degradation
+// tallies merge by summation, so the result — path order, every
+// distribution, the design convolution and the Degraded counts — is
+// identical to a serial run. Each range interns its repeated (cell,
+// arc, load, slew) step lookups in a map of its own, which collapses
+// the bilinear interpolation work on designs where many paths share
+// cell instances.
 func AnalyzeCtx(ctx context.Context, r *sta.Result, stat *statlib.Library, rho float64) (*DesignStats, error) {
 	all, err := r.WorstPathsCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
-	paths := make([]sta.Path, 0, len(all))
+	paths := all[:0] // filtered in place: all is not read again
 	for _, path := range all {
 		if len(path.Steps) == 0 {
 			continue // endpoint fed directly by a primary input
@@ -125,43 +123,30 @@ func AnalyzeCtx(ctx context.Context, r *sta.Result, stat *statlib.Library, rho f
 	span := obs.TracerFrom(ctx).Start("stattime.analyze", "analyze", "paths", len(paths))
 	defer span.End()
 	results := make([]PathStats, len(paths))
-	tallies := make([]map[string]int, len(paths))
-	if workers := robust.DefaultWorkers(); workers > 1 {
-		an := &analyzer{stat: stat, rho: rho, intern: &syncIntern{}}
-		err = robust.ForEachNamed(ctx, "stattime.paths", workers, len(paths), func(_ context.Context, i int) error {
-			deg := make(map[string]int)
+	bounds := robust.Split(len(paths))
+	tallies := make([]map[string]int, len(bounds)-1) // one per range
+	err = robust.ForRanges(ctx, "stattime.paths", bounds, func(ctx context.Context, lo, hi int) error {
+		depth := 0
+		for _, path := range paths[lo:hi] {
+			depth = max(depth, len(path.Steps))
+		}
+		an := &analyzer{stat: stat, rho: rho, intern: make(map[stepKey]stepStats), scratch: make([]dist.Normal, 0, depth)}
+		deg := make(map[string]int)
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			ps, err := an.pathDist(paths[i], deg)
 			if err != nil {
 				return err
 			}
 			results[i] = ps
-			if len(deg) > 0 {
-				tallies[i] = deg
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-	} else {
-		// One worker means no parallelism to win: run the same loop
-		// inline, with an unsynchronized intern table. Identical results,
-		// none of the pool or sync.Map overhead.
-		an := &analyzer{stat: stat, rho: rho, intern: mapIntern{}, scratch: make([]dist.Normal, 0, 64)}
-		deg := make(map[string]int) // one tally for the whole loop: merging is summation anyway
-		for i := range paths {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			ps, err := an.pathDist(paths[i], deg)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = ps
-		}
-		if len(deg) > 0 {
-			tallies[0] = deg
-		}
+		tallies[sort.SearchInts(bounds, lo)] = deg
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	ds := &DesignStats{Rho: rho, Degraded: make(map[string]int), Paths: results}
 	pathDists := make([]dist.Normal, len(results))
@@ -199,21 +184,19 @@ func PathDist(path sta.Path, stat *statlib.Library, rho float64) (PathStats, err
 	return an.pathDist(path, nil)
 }
 
-// analyzer carries the shared state of one Analyze call: the library,
-// the correlation, and (when non-nil) the intern table of resolved
-// step statistics, keyed by (cell, out pin, in pin, load, slew). A
-// given key always resolves to the same statistics, so sharing the
-// table across workers cannot change any result — only skip repeated
-// name resolution and bilinear interpolation.
+// analyzer carries the state of one range of an Analyze call: the
+// library, the correlation, and (when non-nil) the intern table of
+// resolved step statistics, keyed by (cell, out pin, in pin, load,
+// slew). A given key always resolves to the same statistics, so
+// interning cannot change any result — only skip repeated name
+// resolution and bilinear interpolation.
 type analyzer struct {
 	stat   *statlib.Library
 	rho    float64
-	intern internTable // nil disables interning (exported PathDist)
+	intern map[stepKey]stepStats // nil disables interning (exported PathDist)
 
 	// scratch, when non-nil, is the per-path step buffer reused across
-	// pathDist calls. Only the serial analysis sets it: the concurrent
-	// fan-out shares one analyzer across workers, where a shared buffer
-	// would race, so those calls allocate per path as before.
+	// pathDist calls; nil allocates one per path.
 	scratch []dist.Normal
 }
 
@@ -226,31 +209,6 @@ type stepStats struct {
 	n   dist.Normal
 	err error
 }
-
-// internTable memoizes resolved step statistics. The concurrent
-// analysis shares a syncIntern across workers; the serial path uses a
-// plain map and skips the synchronization entirely.
-type internTable interface {
-	load(stepKey) (stepStats, bool)
-	store(stepKey, stepStats)
-}
-
-type mapIntern map[stepKey]stepStats
-
-func (m mapIntern) load(k stepKey) (stepStats, bool) { s, ok := m[k]; return s, ok }
-func (m mapIntern) store(k stepKey, s stepStats)     { m[k] = s }
-
-type syncIntern struct{ m sync.Map }
-
-func (si *syncIntern) load(k stepKey) (stepStats, bool) {
-	v, ok := si.m.Load(k)
-	if !ok {
-		return stepStats{}, false
-	}
-	return v.(stepStats), true
-}
-
-func (si *syncIntern) store(k stepKey, s stepStats) { si.m.Store(k, s) }
 
 func (a *analyzer) pathDist(path sta.Path, degraded map[string]int) (PathStats, error) {
 	var cells []dist.Normal
@@ -300,11 +258,11 @@ func (a *analyzer) stepStats(step sta.PathStep) (dist.Normal, error) {
 		cell: step.Inst.Spec.Name, out: step.OutPin, from: step.FromPin,
 		load: step.Load, slew: step.Slew,
 	}
-	if s, ok := a.intern.load(key); ok {
+	if s, ok := a.intern[key]; ok {
 		return s.n, s.err
 	}
 	n, err := StepStats(step, a.stat)
-	a.intern.store(key, stepStats{n: n, err: err})
+	a.intern[key] = stepStats{n: n, err: err}
 	return n, err
 }
 

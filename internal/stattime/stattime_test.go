@@ -1,7 +1,11 @@
 package stattime
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -388,6 +392,95 @@ func TestAnalyzeConcurrentMatchesSerial(t *testing.T) {
 	sl.Quarantine.Add("INV_2", "test: degenerate statistics")
 	delete(sl.Cells, "INV_2")
 	check("quarantined")
+}
+
+// fanNetlist builds chains FF -> k cells -> FF for k = 1..chains, the
+// cells alternating INV_2 and BUF_4, so the design has one worst path
+// per chain at depths that differ from range to range.
+func fanNetlist(t *testing.T, chains int) *netlist.Netlist {
+	t.Helper()
+	c, _ := env(t)
+	nl := netlist.New("fan", c)
+	for k := 1; k <= chains; k++ {
+		launch := nl.AddInstance("", c.Spec("DFQ_2"))
+		nl.Connect(launch, "D", nl.AddInput(fmt.Sprintf("si%d", k)))
+		cur := nl.AddNet("")
+		nl.Drive(launch, "Q", cur)
+		for i := 0; i < k; i++ {
+			cell := "INV_2"
+			if i%2 == 1 {
+				cell = "BUF_4"
+			}
+			g := nl.AddInstance("", c.Spec(cell))
+			nl.Connect(g, "A", cur)
+			cur = nl.AddNet("")
+			nl.Drive(g, "Y", cur)
+		}
+		capture := nl.AddInstance("", c.Spec("DFQ_2"))
+		nl.Connect(capture, "D", cur)
+		q := nl.AddNet("")
+		nl.Drive(capture, "Q", q)
+		nl.MarkOutput(fmt.Sprintf("so%d", k), q)
+	}
+	return nl
+}
+
+// TestFanOutWorkerInvariant: worst-path backtracking and the per-path
+// statistical timing give bit-identical results at GOMAXPROCS 1, 2, 3
+// and 8, whichever way the paths fall into ranges, including the
+// Degraded tally of a quarantined cell merged across ranges.
+func TestFanOutWorkerInvariant(t *testing.T) {
+	c, _ := env(t)
+	sl, err := statlib.Build("fan", variation.Instances(c, variation.Config{N: 6, Seed: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl.Quarantine.Add("INV_2", "test: degenerate statistics")
+	delete(sl.Cells, "INV_2")
+	r, err := sta.Analyze(fanNetlist(t, 23), sta.DefaultConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() string {
+		paths, err := r.WorstPathsCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := AnalyzeCtx(context.Background(), r, sl, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Degraded["INV_2"] == 0 || ds.Degraded["BUF_4"] != 0 {
+			t.Fatalf("degraded tally %v, want INV_2 steps only", ds.Degraded)
+		}
+		var b strings.Builder
+		for _, p := range paths {
+			fmt.Fprintf(&b, "path %s:", p.Endpoint.Name)
+			for _, st := range p.Steps {
+				fmt.Fprintf(&b, " %s/%s<-%s %x %x %x", st.Inst.Name, st.OutPin, st.FromPin,
+					math.Float64bits(st.Load), math.Float64bits(st.Slew), math.Float64bits(st.Delay))
+			}
+			b.WriteByte('\n')
+		}
+		for _, ps := range ds.Paths {
+			fmt.Fprintf(&b, "stat %s %d %x %x\n", ps.Path.Endpoint.Name, ps.Depth,
+				math.Float64bits(ps.Dist.Mu), math.Float64bits(ps.Dist.Sigma))
+		}
+		fmt.Fprintf(&b, "design %x %x degraded %v\n",
+			math.Float64bits(ds.Design.Mu), math.Float64bits(ds.Design.Sigma), ds.Degraded)
+		return b.String()
+	}
+	want := ""
+	for _, procs := range []int{1, 2, 3, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got := render()
+		runtime.GOMAXPROCS(prev)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("GOMAXPROCS=%d differs from GOMAXPROCS=1:\n%s\nwant:\n%s", procs, got, want)
+		}
+	}
 }
 
 func TestYield(t *testing.T) {

@@ -95,7 +95,7 @@ func NewSampler(seed int64) *Sampler {
 // sampler's profile. The byte stream is identical to the previous
 // "mc%d/%s" key, so every draw stays bit-identical; the buffer must be
 // per-call (not a Sampler field) because InstancesCtx and SamplesCtx
-// share one Sampler across the worker pool.
+// share one Sampler across parallel ranges.
 func (sm *Sampler) Cell(instance int, name string) CellSample {
 	var buf [48]byte
 	key := append(buf[:0], "mc"...)
@@ -128,16 +128,22 @@ func Instances(cat *stdcell.Catalogue, cfg Config) []*liberty.Library {
 	return libs
 }
 
-// InstancesCtx is Instances on the shared worker pool: the N instances
-// generate in parallel (each instance's streams are named by (seed,
-// instance, cell), so the result is bit-identical to the sequential
-// order) and the context cancels generation between instances. On
-// cancellation the partial slice is discarded and ctx's error returned.
+// InstancesCtx is Instances fanned out as contiguous instance ranges
+// (robust.ForRanges): the ranges generate in parallel (each instance's
+// streams are named by (seed, instance, cell), so the result is
+// bit-identical to the sequential order) and the context cancels
+// generation between instances. On cancellation the partial slice is
+// discarded and ctx's error returned.
 func InstancesCtx(ctx context.Context, cat *stdcell.Catalogue, cfg Config) ([]*liberty.Library, error) {
 	sm := NewSampler(cfg.Seed)
 	libs := make([]*liberty.Library, cfg.N)
-	err := robust.ForEachNamed(ctx, "variation.instances", robust.DefaultWorkers(), cfg.N, func(ctx context.Context, i int) error {
-		libs[i] = Instance(cat, sm, i, cfg)
+	err := robust.ForRanges(ctx, "variation.instances", robust.Split(cfg.N), func(ctx context.Context, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			libs[i] = Instance(cat, sm, i, cfg)
+		}
 		return nil
 	})
 	if err != nil {
@@ -171,9 +177,10 @@ func SamplesCtx(ctx context.Context, cat *stdcell.Catalogue, cfg Config) ([][]fl
 // only on (seed, instance, cell), never on cfg.N or on the range, so
 // row i is the same bits whichever range, process or node generates
 // it; this is what lets the cluster tier split the matrix into shards.
-// The rows are views into one contiguous slab and generate on the
-// shared worker pool; on cancellation the partial matrix is discarded
-// and ctx's error returned.
+// The rows are views into one contiguous slab and generate as
+// contiguous row ranges (robust.ForRanges), at most one per CPU; on
+// cancellation the partial matrix is discarded and ctx's error
+// returned.
 //
 // pace, when positive, is slept before each row. It stands in for an
 // external characterizer (one SPICE run per instance) whose latency,
@@ -187,12 +194,14 @@ func SampleRows(ctx context.Context, cat *stdcell.Catalogue, cfg Config, lo, hi 
 	e := cat.Layout().Entries
 	slab := make([]float64, (hi-lo)*e)
 	rows := make([][]float64, hi-lo)
-	err := robust.ForEachNamed(ctx, "variation.instances", robust.DefaultWorkers(), hi-lo, func(ctx context.Context, k int) error {
-		if err := sleep(ctx, pace); err != nil {
-			return err
+	err := robust.ForRanges(ctx, "variation.instances", robust.Split(hi-lo), func(ctx context.Context, klo, khi int) error {
+		for k := klo; k < khi; k++ {
+			if err := sleep(ctx, pace); err != nil {
+				return err
+			}
+			rows[k] = slab[k*e : (k+1)*e : (k+1)*e]
+			cat.DelaySamples(rows[k], instancePerturb(sm, lo+k, cfg))
 		}
-		rows[k] = slab[k*e : (k+1)*e : (k+1)*e]
-		cat.DelaySamples(rows[k], instancePerturb(sm, lo+k, cfg))
 		return nil
 	})
 	if err != nil {
@@ -201,10 +210,11 @@ func SampleRows(ctx context.Context, cat *stdcell.Catalogue, cfg Config, lo, hi 
 	return rows, nil
 }
 
-// sleep waits d, or until ctx is done; a non-positive d returns at once.
+// sleep waits d, or until ctx is done, and returns ctx's error if it
+// is; a non-positive d only checks ctx.
 func sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
-		return nil
+		return ctx.Err()
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()

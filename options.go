@@ -12,17 +12,14 @@ import (
 )
 
 // This file is the ctx-first facade: every pipeline stage as a
-// (ctx, input, Options) function. The positional entrypoints in
-// stdcelltune.go remain as thin deprecated wrappers over these.
+// (ctx, input, Options) function.
 //
 // Contract shared by all *Ctx functions:
 //
 //   - A cancelled context aborts promptly between (and, where the
 //     underlying stage supports it, inside) units of work; the returned
 //     error matches ErrCancelled via errors.Is.
-//   - The zero Options value reproduces the paper's defaults, and a
-//     call through the deprecated positional wrapper is bit-identical
-//     to the corresponding *Ctx call.
+//   - The zero Options value reproduces the paper's defaults.
 
 // CharacterizeOptions configures Monte-Carlo characterization.
 type CharacterizeOptions struct {
@@ -35,8 +32,8 @@ type CharacterizeOptions struct {
 }
 
 // CharacterizeCtx runs the Monte-Carlo characterization (instances are
-// generated in parallel on the worker pool, as a delay-sample matrix)
-// and folds them into the statistical library.
+// generated in parallel, as a delay-sample matrix) and folds them into
+// the statistical library.
 func CharacterizeCtx(ctx context.Context, cat *Catalogue, opts CharacterizeOptions) (*StatisticalLibrary, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -11,94 +11,6 @@ import (
 	"stdcelltune/internal/statlib"
 )
 
-// TestCtxFacadeMatchesDeprecated proves the deprecated positional
-// wrappers and the ctx-first Options API are the same computation: the
-// statistical libraries serialize byte-identically and the synthesis
-// results agree in every reported field.
-func TestCtxFacadeMatchesDeprecated(t *testing.T) {
-	ctx := context.Background()
-	cat := stdcelltune.NewCatalogue(stdcelltune.Typical)
-
-	oldStat, err := stdcelltune.Characterize(cat, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newStat, err := stdcelltune.CharacterizeCtx(ctx, cat, stdcelltune.CharacterizeOptions{Instances: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldLib, err := stdcelltune.WriteLiberty(oldStat.ToLiberty())
-	if err != nil {
-		t.Fatal(err)
-	}
-	newLib, err := stdcelltune.WriteLiberty(newStat.ToLiberty())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldLib != newLib {
-		t.Fatal("CharacterizeCtx is not bit-identical to Characterize")
-	}
-
-	oldWin, oldRep, err := stdcelltune.Tune(oldStat, stdcelltune.SigmaCeiling, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newWin, newRep, err := stdcelltune.TuneCtx(ctx, newStat, stdcelltune.TuneOptions{Method: stdcelltune.SigmaCeiling, Bound: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldWin.Len() != newWin.Len() || len(oldRep.Pins) != len(newRep.Pins) {
-		t.Fatalf("TuneCtx diverged: %d/%d windows, %d/%d pins",
-			oldWin.Len(), newWin.Len(), len(oldRep.Pins), len(newRep.Pins))
-	}
-	for _, k := range oldWin.Keys() {
-		cell, pin, _ := cutKey(k)
-		ow, _ := oldWin.Window(cell, pin)
-		nw, ok := newWin.Window(cell, pin)
-		if !ok || ow != nw {
-			t.Fatalf("window %s diverged: %v vs %v (ok=%v)", k, ow, nw, ok)
-		}
-	}
-
-	design, err := stdcelltune.NewMCUWith(rtlgen.SmallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldRes, err := stdcelltune.Synthesize(design, cat, 6, oldWin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRes, err := stdcelltune.SynthesizeCtx(ctx, design, cat, stdcelltune.SynthesizeOptions{Clock: 6, Windows: newWin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldRes.Met != newRes.Met || oldRes.Area() != newRes.Area() || oldRes.Iterations != newRes.Iterations {
-		t.Fatalf("SynthesizeCtx diverged: met %v/%v area %g/%g iter %d/%d",
-			oldRes.Met, newRes.Met, oldRes.Area(), newRes.Area(), oldRes.Iterations, newRes.Iterations)
-	}
-
-	oldDS, err := stdcelltune.AnalyzeVariation(oldRes, oldStat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newDS, err := stdcelltune.AnalyzeVariationCtx(ctx, newRes, newStat, stdcelltune.AnalyzeVariationOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldDS.Design != newDS.Design || len(oldDS.Paths) != len(newDS.Paths) {
-		t.Fatalf("AnalyzeVariationCtx diverged: %+v vs %+v", oldDS.Design, newDS.Design)
-	}
-}
-
-func cutKey(k string) (cell, pin string, ok bool) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == '/' {
-			return k[:i], k[i+1:], true
-		}
-	}
-	return k, "", false
-}
-
 // TestErrCancelled pins the cancellation sentinel: a pre-cancelled
 // context surfaces as ErrCancelled from every stage.
 func TestErrCancelled(t *testing.T) {
@@ -156,9 +68,5 @@ func TestErrWindowInfeasible(t *testing.T) {
 	_, _, err = stdcelltune.TuneCtx(context.Background(), stat, stdcelltune.TuneOptions{Method: stdcelltune.SigmaCeiling, Bound: 1e-12})
 	if !errors.Is(err, stdcelltune.ErrWindowInfeasible) {
 		t.Fatalf("want ErrWindowInfeasible, got %v", err)
-	}
-	// The deprecated wrapper keeps the historical contract: no error.
-	if _, _, err := stdcelltune.Tune(stat, stdcelltune.SigmaCeiling, 1e-12); err != nil {
-		t.Fatalf("deprecated Tune must not reject infeasible windows: %v", err)
 	}
 }

@@ -26,9 +26,7 @@
 //	// ts.Design.Sigma < bs.Design.Sigma at a modest area cost.
 //
 // Failures carry typed sentinels — ErrQuarantined, ErrWindowInfeasible,
-// ErrCancelled — so service layers map them with errors.Is. The
-// positional entrypoints (Characterize, Tune, Synthesize,
-// AnalyzeVariation) remain as deprecated wrappers.
+// ErrCancelled — so service layers map them with errors.Is.
 //
 // Every table and figure of the paper regenerates through Experiments
 // (see the root bench_test.go and cmd/experiments); the same pipeline
@@ -81,17 +79,6 @@ func ParseLiberty(src string) (*Library, error) { return liberty.Parse(src) }
 // Monte-Carlo instances (paper Section IV, Fig. 2).
 type StatisticalLibrary = statlib.Library
 
-// Characterize runs the Monte-Carlo characterization (n library
-// instances under local variation) and folds them into the statistical
-// library. The paper uses n = 50.
-//
-// Deprecated: use CharacterizeCtx, which adds cancellation and a
-// self-describing options struct. This wrapper is bit-identical to
-// CharacterizeCtx(context.Background(), cat, CharacterizeOptions{Instances: n, Seed: seed}).
-func Characterize(cat *Catalogue, n int, seed int64) (*StatisticalLibrary, error) {
-	return CharacterizeCtx(context.Background(), cat, CharacterizeOptions{Instances: n, Seed: seed})
-}
-
 // Method is one of the paper's five tuning methods.
 type Method = core.Method
 
@@ -117,17 +104,6 @@ type Windows = restrict.Set
 // TuningReport records the thresholds and per-pin restrictions of a
 // tuning run.
 type TuningReport = core.Report
-
-// Tune runs a tuning method at the given constraint bound against the
-// statistical library.
-//
-// Deprecated: use TuneCtx. Unlike TuneCtx this wrapper does not reject
-// an all-excluded window set with ErrWindowInfeasible, preserving the
-// historical contract for existing sweep drivers that probe infeasible
-// bounds deliberately.
-func Tune(stat *StatisticalLibrary, m Method, bound float64) (*Windows, *TuningReport, error) {
-	return core.NewTuner(stat).Tune(core.ParamsFor(m, bound))
-}
 
 // Design is a technology-independent logic network, the synthesis input.
 type Design = logic.Network
@@ -158,29 +134,9 @@ func NewMCUWith(cfg MCUConfig) (*Design, error) {
 // netlist, its timing, and the optimization statistics.
 type SynthesisResult = synth.Result
 
-// Synthesize maps the design onto the catalogue and sizes it against a
-// clock period (ns). windows may be nil for an unrestricted baseline.
-//
-// Deprecated: use SynthesizeCtx, which adds cancellation and room for
-// non-default iteration budgets. This wrapper is bit-identical to
-// SynthesizeCtx(context.Background(), d, cat, SynthesizeOptions{Clock: clock, Windows: windows}).
-func Synthesize(d *Design, cat *Catalogue, clock float64, windows *Windows) (*SynthesisResult, error) {
-	return SynthesizeCtx(context.Background(), d, cat, SynthesizeOptions{Clock: clock, Windows: windows})
-}
-
 // DesignStats is the statistical timing of a synthesized design: per
 // worst path and design-level delay mean and sigma (paper eqs. 5-11).
 type DesignStats = stattime.DesignStats
-
-// AnalyzeVariation computes the local-variation statistics of a
-// synthesis result against the statistical library (correlation rho=0,
-// the paper's assumption).
-//
-// Deprecated: use AnalyzeVariationCtx. This wrapper is bit-identical to
-// AnalyzeVariationCtx(context.Background(), res, stat, AnalyzeVariationOptions{}).
-func AnalyzeVariation(res *SynthesisResult, stat *StatisticalLibrary) (*DesignStats, error) {
-	return AnalyzeVariationCtx(context.Background(), res, stat, AnalyzeVariationOptions{})
-}
 
 // Compare summarizes tuned-versus-baseline sigma and area.
 type Compare = stattime.Compare

@@ -1,6 +1,7 @@
 package stdcelltune_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,15 +13,16 @@ import (
 // characterization, tuning, baseline and restricted synthesis, and the
 // sigma comparison the paper is about.
 func TestFacadeEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	cat := stdcelltune.NewCatalogue(stdcelltune.Typical)
 	if got := len(cat.Lib.Cells); got != 304 {
 		t.Fatalf("catalogue cells %d want 304", got)
 	}
-	stat, err := stdcelltune.Characterize(cat, 15, 1)
+	stat, err := stdcelltune.CharacterizeCtx(ctx, cat, stdcelltune.CharacterizeOptions{Instances: 15, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	win, rep, err := stdcelltune.Tune(stat, stdcelltune.SigmaCeiling, 0.02)
+	win, rep, err := stdcelltune.TuneCtx(ctx, stat, stdcelltune.TuneOptions{Method: stdcelltune.SigmaCeiling, Bound: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,25 +33,25 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := stdcelltune.Synthesize(design, cat, 6, nil)
+	base, err := stdcelltune.SynthesizeCtx(ctx, design, cat, stdcelltune.SynthesizeOptions{Clock: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !base.Met {
 		t.Fatal("baseline missed timing")
 	}
-	tuned, err := stdcelltune.Synthesize(design, cat, 6, win)
+	tuned, err := stdcelltune.SynthesizeCtx(ctx, design, cat, stdcelltune.SynthesizeOptions{Clock: 6, Windows: win})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tuned.Met {
 		t.Fatalf("restricted synthesis missed timing (violations %d)", tuned.Violations())
 	}
-	bs, err := stdcelltune.AnalyzeVariation(base, stat)
+	bs, err := stdcelltune.AnalyzeVariationCtx(ctx, base, stat, stdcelltune.AnalyzeVariationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := stdcelltune.AnalyzeVariation(tuned, stat)
+	ts, err := stdcelltune.AnalyzeVariationCtx(ctx, tuned, stat, stdcelltune.AnalyzeVariationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
