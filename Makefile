@@ -13,9 +13,9 @@ BENCH_SCALE ?= small
 # recorded baseline.
 ALLOC_RATIO ?= 1.10
 
-.PHONY: ci fmt vet build test test-procs2 race fuzz fuzz-short bench-json bench-check experiments-small obs-smoke serve-smoke crash-smoke load-smoke cluster-smoke query-smoke cluster-bench clean
+.PHONY: ci fmt vet build test test-procs2 race fuzz fuzz-short bench-json bench-check experiments-small obs-smoke cluster-bench clean
 
-ci: fmt vet build test-procs2 race fuzz-short bench-check obs-smoke serve-smoke crash-smoke load-smoke cluster-smoke query-smoke
+ci: fmt vet build test-procs2 race fuzz-short bench-check obs-smoke
 
 # Every Go file gofmt-clean.
 fmt:
@@ -32,6 +32,9 @@ test:
 
 # Tier-1 on two cores whatever the host has: a test that holds only at
 # GOMAXPROCS=1 (a proxy counter that parallel code also bumps) fails here.
+# Tier-1 includes cmd/stcd's TestEndToEnd, which drives real stcd
+# processes through the serve, crash-recovery, query, load and cluster
+# scenarios.
 test-procs2:
 	GOMAXPROCS=2 $(GO) test ./...
 
@@ -81,54 +84,11 @@ obs-smoke:
 	$(GO) run ./cmd/obscheck -trace $(OBS_TRACE) \
 		-manifest $(basename $(OBS_TRACE)).manifest.json -bench $(OBS_BENCH)
 
-# End-to-end service smoke: boot the stcd daemon on an ephemeral port,
-# run the scaled-down pipeline cold and warm, assert the cache-hit and
-# byte-identity contract, validate the API documents with cmd/obscheck,
-# and check graceful SIGTERM drain. See scripts/serve_smoke.sh.
-serve-smoke:
-	GO="$(GO)" sh scripts/serve_smoke.sh
-
-# Crash-safety smoke: run stcd into a chaos-armed crash (exit 137 with a
-# torn journal tail), restart over the same statedir/cachedir, and prove
-# the job recovers as a warm cache hit with byte-identical artifacts,
-# admission control answers 429, and the journal validates via
-# obscheck -journal. See scripts/serve_crash_smoke.sh.
-crash-smoke:
-	GO="$(GO)" sh scripts/serve_crash_smoke.sh
-
-# Serving-tier observability smoke: boot stcd on an ephemeral port,
-# drive a small open-loop warm/cold mix with cmd/stcload, then validate
-# the stdcelltune-load/1 report (obscheck -loadreport) and the /metrics
-# Prometheus exposition's per-route RED series (obscheck -metrics).
-# See scripts/load_smoke.sh.
-load-smoke:
-	GO="$(GO)" sh scripts/load_smoke.sh
-
-# Cluster-mode smoke: a coordinator plus worker fleet runs a sharded
-# characterize, one worker is SIGKILLed mid-shard (lease expiry + steal
-# recover it with byte-identical artifacts), a third node fills its
-# cache from a peer with SHA-256 verification (outcome "peer"), and a
-# plain single node computes the same artifact hashes itself. The
-# retained shard set validates via obscheck -shard. See
-# scripts/cluster_smoke.sh and DESIGN.md section 15.
-cluster-smoke:
-	GO="$(GO)" sh scripts/cluster_smoke.sh
-
-# Query-layer smoke: boot stcd, run one pipeline job through the
-# stdcelltune-api/2 surface, and prove the library-as-a-database
-# contract — cold query miss, warm byte-identical hit, normalization
-# reaching the cache key, substitute what-if answered with exactly one
-# full STA analysis, the api/2 error envelope, and docs/API.md in sync
-# with the served route table (obscheck -apispec). See
-# scripts/query_smoke.sh.
-query-smoke:
-	GO="$(GO)" sh scripts/query_smoke.sh
-
 # Cluster scaling curve: single-node baseline vs 1/2/4 workers at
 # N=200 with simulated characterizer latency; writes BENCH_PR9.json.
 # Not part of `make ci` (it takes minutes by construction).
 cluster-bench:
-	GO="$(GO)" sh scripts/cluster_bench.sh
+	$(GO) test ./cmd/stcd -run '^$$' -bench ClusterCharacterize -benchtime 1x -timeout 30m
 
 clean:
 	$(GO) clean ./...

@@ -25,7 +25,7 @@
 // Flags:
 //
 //	-addr           listen address (default 127.0.0.1:8372; use :0 for an ephemeral port)
-//	-addrfile       write the bound address to this file once listening (smoke harnesses)
+//	-addrfile       write the bound address to this file once listening (end-to-end tests)
 //	-cachedir       persist the artifact cache here; empty = memory only
 //	-statedir       durable job journal + shutdown manifest here; empty = no crash safety
 //	-workers        concurrent pipeline executions (default 1; the pipeline itself parallelizes)

@@ -2,8 +2,8 @@
 // tuning daemon. It replays a warm/cold spec mix against a live daemon
 // and reports throughput, the error/backpressure breakdown (429/503),
 // and p50/p90/p99/p99.9 latency from HDR histograms as a versioned
-// stdcelltune-load/1 JSON document (validated by `obscheck
-// -loadreport`; `make load-smoke` wires both into CI).
+// stdcelltune-load/1 JSON document (see internal/loadreport; cmd/stcd's
+// end-to-end test runs it against a live daemon).
 //
 // Two generation modes:
 //

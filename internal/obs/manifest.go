@@ -135,8 +135,8 @@ func (m *Manifest) Write(path string) error {
 }
 
 // ReadManifest loads and validates a manifest file: it must parse and
-// carry the current schema tag. cmd/obscheck uses this as the smoke
-// gate.
+// carry the current schema tag. cmd/obscheck -manifest and cmd/stcd's
+// end-to-end test read manifests through it.
 func ReadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -434,10 +434,10 @@ type PromSample struct {
 }
 
 // ParsePrometheusText parses text exposition format 0.0.4 — the
-// validation half used by cmd/obscheck and the exposition tests. It
-// understands comments, # TYPE lines, and sample lines with optional
-// labels; it rejects structurally invalid lines. Returns the samples
-// in input order plus the declared family types.
+// validation half used by cmd/stcd's end-to-end test and the
+// exposition tests. It understands comments, # TYPE lines, and sample
+// lines with optional labels; it rejects structurally invalid lines.
+// Returns the samples in input order plus the declared family types.
 func ParsePrometheusText(r io.Reader) (samples []PromSample, types map[string]string, err error) {
 	types = make(map[string]string)
 	sc := bufio.NewScanner(r)

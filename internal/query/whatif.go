@@ -225,7 +225,7 @@ func (s *Store) widen(factor float64, probed func(*widening)) (*WhatIfResult, er
 	// widened windows stay satisfied; otherwise revert. A reverted
 	// probe's dirty marks resolve in the next probe's update.
 	for _, inst := range order {
-		down := downsizeStep(cat, inst.Spec)
+		down := cat.Step(inst.Spec, -1)
 		if down == nil {
 			continue
 		}
@@ -356,16 +356,4 @@ func widenSet(set *restrict.Set, factor float64) *restrict.Set {
 		})
 	}
 	return out
-}
-
-// downsizeStep returns the next size down in the instance's family, or
-// nil at the smallest drive.
-func downsizeStep(cat *stdcell.Catalogue, spec *stdcell.Spec) *stdcell.Spec {
-	fam := cat.Families[spec.Family]
-	for i, c := range fam {
-		if c.Drive == spec.Drive && i > 0 {
-			return fam[i-1]
-		}
-	}
-	return nil
 }

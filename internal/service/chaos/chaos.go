@@ -16,8 +16,9 @@
 //     directories.
 //   - Real process (cmd/stcd -chaos): ExitOnCrash makes a firing crash
 //     plan call os.Exit(137) at the exact instrumented moment, which is
-//     how scripts/serve_crash_smoke.sh produces deterministic torn
-//     tails and mid-write crashes without racing a kill from outside.
+//     how cmd/stcd's end-to-end crash scenario produces deterministic
+//     torn tails and mid-write crashes without racing a kill from
+//     outside.
 //
 // When no injector is armed the fast path is one atomic pointer load.
 package chaos

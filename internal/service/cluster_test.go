@@ -129,9 +129,13 @@ func clusterRoundTrip(t *testing.T, size int, direct map[string][]byte) {
 	}
 	sameArtifacts(t, fmt.Sprintf("shard size %d", size), served, direct)
 
-	// The retained shard set is served over HTTP for obscheck -shard.
+	// The retained shard set is served over HTTP and holds its
+	// invariants.
 	var set shard.ShardSet
 	if err := json.Unmarshal(getBytes(t, ts.URL+"/v1/cluster/shards/"+done.Digest), &set); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if set.Instances != clusterSpec.Instances || int64(len(set.Shards)) != tasks {

@@ -46,8 +46,8 @@ import (
 	"stdcelltune/internal/service/chaos"
 )
 
-// Schema is the versioned record schema identifier; cmd/obscheck's
-// -journal validator enforces it.
+// Schema is the versioned record schema identifier; Replay and
+// Validate enforce it.
 const Schema = "stdcelltune-journal/1"
 
 // FileName is the journal file under the daemon's state directory.
@@ -187,6 +187,38 @@ func Pending(recs []Record) []Record {
 		}
 	}
 	return out
+}
+
+// Validate checks the invariants of a replayed record sequence: every
+// record carries the schema, a strictly increasing seq, a known state
+// and a job id; a job's first record accepts it with a spec, a re-accept
+// carries its spec too, and no record follows a job's terminal state.
+// It returns the first violation, or nil.
+func Validate(recs []Record) error {
+	var lastSeq uint64
+	seen := make(map[string]State, len(recs))
+	for i, r := range recs {
+		prev, ok := seen[r.Job]
+		switch {
+		case r.Schema != Schema:
+			return fmt.Errorf("journal: record %d schema %q, want %q", i, r.Schema, Schema)
+		case r.Seq <= lastSeq:
+			return fmt.Errorf("journal: record %d seq %d not above %d", i, r.Seq, lastSeq)
+		case !r.State.Valid():
+			return fmt.Errorf("journal: record %d (%s) has unknown state %q", i, r.Job, r.State)
+		case r.Job == "":
+			return fmt.Errorf("journal: record %d has no job id", i)
+		case !ok && r.State != StateAccepted:
+			return fmt.Errorf("journal: job %s first appears as %q, want accepted", r.Job, r.State)
+		case ok && prev.Terminal():
+			return fmt.Errorf("journal: job %s moves %q -> %q after a terminal state", r.Job, prev, r.State)
+		case r.State == StateAccepted && len(r.Spec) == 0:
+			return fmt.Errorf("journal: job %s accepted without a spec", r.Job)
+		}
+		lastSeq = r.Seq
+		seen[r.Job] = r.State
+	}
+	return nil
 }
 
 // Journal is an open, appendable job journal. Safe for concurrent use.
@@ -347,7 +379,7 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Path returns the journal file path (obscheck -journal reads it).
+// Path returns the journal file path.
 func (j *Journal) Path() string { return j.path }
 
 // syncDir fsyncs a directory so a rename within it is durable.

@@ -74,6 +74,47 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidateRejects: each record-sequence invariant Validate names
+// fails on a sequence that breaks only it; the well-formed history
+// passes.
+func TestValidateRejects(t *testing.T) {
+	spec := json.RawMessage(`{"design":"mcu-small"}`)
+	good := func() []Record {
+		return []Record{
+			{Schema: Schema, Seq: 1, Job: "a", State: StateAccepted, Spec: spec},
+			{Schema: Schema, Seq: 2, Job: "a", State: StateRunning},
+			{Schema: Schema, Seq: 3, Job: "b", State: StateAccepted, Spec: spec},
+			{Schema: Schema, Seq: 4, Job: "a", State: StateDone},
+			{Schema: Schema, Seq: 5, Job: "b", State: StateAccepted, Spec: spec}, // compaction re-accept
+		}
+	}
+	if err := Validate(good()); err != nil {
+		t.Fatalf("well-formed history rejected: %v", err)
+	}
+	edit := func(i int, f func(*Record)) []Record {
+		recs := good()
+		f(&recs[i])
+		return recs
+	}
+	cases := []struct {
+		label string
+		recs  []Record
+	}{
+		{"schema", edit(2, func(r *Record) { r.Schema = "stdcelltune-journal/0" })},
+		{"seq repeats", edit(1, func(r *Record) { r.Seq = 1 })},
+		{"unknown state", edit(1, func(r *Record) { r.State = "paused" })},
+		{"no job id", edit(2, func(r *Record) { r.Job = "" })},
+		{"not accepted first", edit(2, func(r *Record) { r.State = StateRunning })},
+		{"move after terminal", append(good(), Record{Schema: Schema, Seq: 6, Job: "a", State: StateRunning})},
+		{"accept without spec", edit(4, func(r *Record) { r.Spec = nil })},
+	}
+	for _, tc := range cases {
+		if err := Validate(tc.recs); err == nil {
+			t.Errorf("%s: Validate accepted the sequence", tc.label)
+		}
+	}
+}
+
 func TestOpenCompactsTerminalHistory(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := openT(t, dir)

@@ -107,6 +107,9 @@ func crashAndRecover(t *testing.T, tc crashCase, corruptCache bool) {
 		t.Fatalf("reopen journal after %s: %v", tc.name, err)
 	}
 	defer jnl2.Close()
+	if err := journal.Validate(recs2); err != nil {
+		t.Fatalf("%s: replayed journal: %v", tc.name, err)
+	}
 
 	// No accepted job lost: every acceptance is either terminal in the
 	// journal or pending for recovery.
@@ -192,6 +195,9 @@ func crashAndRecover(t *testing.T, tc crashCase, corruptCache bool) {
 		t.Fatalf("%s: third open: %v", tc.name, err)
 	}
 	jnl3.Close()
+	if err := journal.Validate(recs3); err != nil {
+		t.Fatalf("%s: final journal: %v", tc.name, err)
+	}
 	if left := journal.Pending(recs3); len(left) != 0 {
 		t.Fatalf("%s: %d jobs still pending after full recovery: %+v", tc.name, len(left), left)
 	}

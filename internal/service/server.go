@@ -142,7 +142,7 @@ type route struct {
 }
 
 // Routes returns the full route table of the daemon as served by
-// Handler — the machine-readable API surface. cmd/obscheck -apispec
+// Handler — the machine-readable API surface. TestAPISpecMatchesRoutes
 // cross-checks docs/API.md against exactly this list, so the spec can
 // never silently drift from the code.
 func Routes() []RouteInfo {

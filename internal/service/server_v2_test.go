@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -501,6 +502,77 @@ func TestRoutesCoverHandler(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "application/json") {
 				t.Errorf("%s: not mounted (bare mux 404, ct %q)", rt.Pattern, ct)
 			}
+		}
+	}
+}
+
+// specRoutes parses the fenced ```routes blocks of an API spec: one
+// "METHOD /path" per line, " [cluster]"-suffixed for coordinator-only
+// routes. A malformed or repeated line is an error.
+func specRoutes(spec string) (map[string]bool, error) {
+	routes := map[string]bool{}
+	inBlock := false
+	for ln, line := range strings.Split(spec, "\n") {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case trimmed == "```routes":
+			inBlock = true
+		case trimmed == "```":
+			inBlock = false
+		case inBlock && trimmed != "":
+			parts := strings.Fields(strings.TrimSuffix(trimmed, " [cluster]"))
+			if len(parts) != 2 || !strings.HasPrefix(parts[1], "/") {
+				return nil, fmt.Errorf("line %d: malformed route %q (want \"METHOD /path\")", ln+1, trimmed)
+			}
+			if routes[trimmed] {
+				return nil, fmt.Errorf("line %d: duplicate route %q", ln+1, trimmed)
+			}
+			routes[trimmed] = true
+		}
+	}
+	return routes, nil
+}
+
+// TestAPISpecMatchesRoutes: docs/API.md is the normative API spec. Its
+// routes blocks and the table the daemon compiles its mux from are the
+// same set: a route served but not documented fails, and so does one
+// documented but not served.
+func TestAPISpecMatchesRoutes(t *testing.T) {
+	data, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented, err := specRoutes(string(data))
+	if err != nil {
+		t.Fatalf("docs/API.md: %v", err)
+	}
+	if len(documented) == 0 {
+		t.Fatal("docs/API.md has no routes blocks")
+	}
+	served := map[string]bool{}
+	for _, rt := range Routes() {
+		key := rt.Pattern
+		if rt.Cluster {
+			key += " [cluster]"
+		}
+		served[key] = true
+		if !documented[key] {
+			t.Errorf("served route %q is not documented in docs/API.md", key)
+		}
+	}
+	for key := range documented {
+		if !served[key] {
+			t.Errorf("docs/API.md documents %q, which the daemon does not serve", key)
+		}
+	}
+	for _, bad := range []string{
+		"```routes\nGET\n```",
+		"```routes\nGET /v2/jobs extra\n```",
+		"```routes\nGET v2/jobs\n```",
+		"```routes\nGET /v2/jobs\nGET /v2/jobs\n```",
+	} {
+		if _, err := specRoutes(bad); err == nil {
+			t.Errorf("specRoutes accepted %q", bad)
 		}
 	}
 }

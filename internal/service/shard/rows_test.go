@@ -223,6 +223,57 @@ func TestAssembleRejects(t *testing.T) {
 	}
 }
 
+// TestShardSetValidateRejects: a retained set out of assembly order,
+// mis-tiled, of mixed library or width, with a row-byte count that is
+// not Hi-Lo rows, or without a SHA-256 fails Validate; the set
+// Assemble retained passes it.
+func TestShardSetValidateRejects(t *testing.T) {
+	c := New(Options{})
+	if _, err := c.Assemble("g", "stat", 8, 1, []json.RawMessage{result(0), result(1), result(2), result(3)}); err != nil {
+		t.Fatal(err)
+	}
+	good, _ := c.ShardSet("g")
+	if err := good.Validate(); err != nil {
+		t.Fatalf("retained set rejected: %v", err)
+	}
+	edit := func(f func(*ShardSet)) *ShardSet {
+		s := *good
+		s.Shards = append([]RetainedShard(nil), good.Shards...)
+		f(&s)
+		return &s
+	}
+	cases := []struct {
+		label string
+		set   *ShardSet
+	}{
+		{"wrong schema", edit(func(s *ShardSet) { s.Schema = "stdcelltune-shard/1" })},
+		{"no instances", edit(func(s *ShardSet) { s.Instances = 0 })},
+		{"no shards", edit(func(s *ShardSet) { s.Shards = nil })},
+		{"shard schema", edit(func(s *ShardSet) { s.Shards[1].Schema = "x" })},
+		{"out of order", edit(func(s *ShardSet) { s.Shards[1], s.Shards[2] = s.Shards[2], s.Shards[1] })},
+		{"missing shard", edit(func(s *ShardSet) { s.Shards = s.Shards[:3] })},
+		{"shard count", edit(func(s *ShardSet) { s.Shards[2].Shards = 5 })},
+		{"instance count", edit(func(s *ShardSet) { s.Shards[3].N = 9 })},
+		{"mixed library", edit(func(s *ShardSet) { s.Shards[2].Library = "other" })},
+		{"mixed width", edit(func(s *ShardSet) { s.Shards[1].Width, s.Shards[1].RowsBytes = 2, 32 })},
+		{"gap", edit(func(s *ShardSet) { s.Shards[2].Lo = 5 })},
+		{"empty range", edit(func(s *ShardSet) { s.Shards[0].Hi = 0 })},
+		{"short end", edit(func(s *ShardSet) {
+			s.Instances = 9
+			for i := range s.Shards {
+				s.Shards[i].N = 9
+			}
+		})},
+		{"row bytes", edit(func(s *ShardSet) { s.Shards[0].RowsBytes = 8 })},
+		{"digest form", edit(func(s *ShardSet) { s.Shards[3].RowsSHA256 = "sha256:" + s.Shards[3].RowsSHA256[7:] })},
+	}
+	for _, tc := range cases {
+		if err := tc.set.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the set", tc.label)
+		}
+	}
+}
+
 // TestRowsEncodingKeepsEveryBit: the row bytes carry NaN payloads,
 // signed zeros and infinities unchanged.
 func TestRowsEncodingKeepsEveryBit(t *testing.T) {

@@ -36,6 +36,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -45,7 +46,7 @@ import (
 
 // Schema names the two shard documents: a worker's result for one
 // characterize task (Rows) and the retained set of a finished group
-// (ShardSet) that obscheck -shard validates.
+// (ShardSet).
 const Schema = "stdcelltune-shard/2"
 
 // ErrStaleLease rejects a completion whose fencing token no longer
@@ -184,13 +185,58 @@ type RetainedShard struct {
 }
 
 // ShardSet is the retained shard set of one assembled group, in shard
-// order: the document GET /v1/cluster/shards/{digest} serves and
-// obscheck -shard validates.
+// order: the document GET /v1/cluster/shards/{digest} serves.
 type ShardSet struct {
 	Schema    string          `json:"schema"`
 	Group     string          `json:"group"`
 	Instances int             `json:"instances"`
 	Shards    []RetainedShard `json:"shards"`
+}
+
+// Validate checks the invariants that prove no shard was lost or
+// counted twice, lease bounces and steals included: the fixed assembly
+// order (shard k at position k), an exact contiguous tiling of
+// [0, Instances), one schema, library, instance count, shard count and
+// row width across the set, exactly Hi-Lo rows of that width per
+// shard, and a SHA-256 on record for each.
+func (s *ShardSet) Validate() error {
+	switch {
+	case s.Schema != Schema:
+		return fmt.Errorf("shard set: schema %q, want %q", s.Schema, Schema)
+	case s.Instances <= 0:
+		return fmt.Errorf("shard set: instances %d not positive", s.Instances)
+	case len(s.Shards) == 0:
+		return errors.New("shard set: no shards")
+	}
+	first := s.Shards[0]
+	next := 0
+	for i, p := range s.Shards {
+		switch {
+		case p.Schema != Schema:
+			return fmt.Errorf("shard %d: schema %q, want %q", i, p.Schema, Schema)
+		case p.Index != i:
+			return fmt.Errorf("shard %d: at position %d, not in assembly order", p.Index, i)
+		case p.Shards != len(s.Shards):
+			return fmt.Errorf("shard %d: claims %d shards, set has %d", i, p.Shards, len(s.Shards))
+		case p.N != s.Instances:
+			return fmt.Errorf("shard %d: %d instances, set has %d", i, p.N, s.Instances)
+		case p.Library != first.Library:
+			return fmt.Errorf("shard %d: library %q, shard 0 %q", i, p.Library, first.Library)
+		case p.Width <= 0 || p.Width != first.Width:
+			return fmt.Errorf("shard %d: rows %d wide, shard 0 %d", i, p.Width, first.Width)
+		case p.Lo != next || p.Hi <= p.Lo:
+			return fmt.Errorf("shard %d: range [%d,%d) does not continue the tiling at %d", i, p.Lo, p.Hi, next)
+		case p.RowsBytes != (p.Hi-p.Lo)*p.Width*8:
+			return fmt.Errorf("shard %d: %d row bytes, want %d rows of %d entries", i, p.RowsBytes, p.Hi-p.Lo, p.Width)
+		case len(p.RowsSHA256) != 64 || strings.Trim(p.RowsSHA256, "0123456789abcdef") != "":
+			return fmt.Errorf("shard %d: row digest %q is not a SHA-256", i, p.RowsSHA256)
+		}
+		next = p.Hi
+	}
+	if next != s.Instances {
+		return fmt.Errorf("shard set: shards end at %d, want %d", next, s.Instances)
+	}
+	return nil
 }
 
 // Options configures a Coordinator.

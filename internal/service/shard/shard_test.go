@@ -151,7 +151,7 @@ func TestKillWorkerMidJob(t *testing.T) {
 	}
 
 	// Every row is counted exactly once, rows 2-3 from B's recomputation,
-	// and the assembled set is retained for obscheck -shard.
+	// and the assembled set is retained and valid.
 	rows, err := c.Assemble("g1", "stat", 8, 1, out.results)
 	if err != nil {
 		t.Fatal(err)
@@ -164,6 +164,9 @@ func TestKillWorkerMidJob(t *testing.T) {
 	set, ok := c.ShardSet("g1")
 	if !ok || set.Schema != Schema || set.Instances != 8 || len(set.Shards) != 4 {
 		t.Fatalf("ShardSet: ok=%v set=%+v", ok, set)
+	}
+	if err := set.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

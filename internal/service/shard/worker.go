@@ -191,7 +191,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		if execErr != nil {
 			if ctx.Err() != nil {
 				// Dying mid-shard: don't report, let the lease expire and
-				// the shard re-queue — the path the chaos smoke SIGKILLs.
+				// the shard re-queue — the path cmd/stcd's end-to-end
+				// cluster scenario SIGKILLs.
 				return ctx.Err()
 			}
 			req.Error = execErr.Error()

@@ -245,6 +245,18 @@ func (c *Catalogue) SizesOf(cellName string) []*Spec {
 	return c.Families[FamilyOf(cellName)]
 }
 
+// Step returns the spec delta sizes away from spec in its family
+// (+1 the next drive up, -1 the next down), or nil past either end.
+func (c *Catalogue) Step(spec *Spec, delta int) *Spec {
+	fam := c.Families[spec.Family]
+	for i, s := range fam {
+		if j := i + delta; s.Drive == spec.Drive && j >= 0 && j < len(fam) {
+			return fam[j]
+		}
+	}
+	return nil
+}
+
 // IsSequential reports whether the spec is a flip-flop or latch.
 func (s *Spec) IsSequential() bool { return s.Kind == KindDFF || s.Kind == KindLatch }
 

@@ -425,3 +425,18 @@ func TestClockCapBelowInputCap(t *testing.T) {
 		t.Error("clock pin should be lighter than data pin")
 	}
 }
+
+// TestStepWalksFamily: Step moves one drive along the family's sorted
+// sizes and stops at either end.
+func TestStepWalksFamily(t *testing.T) {
+	c := catTT()
+	fam := c.Families["INV"]
+	for i, s := range fam {
+		if up := c.Step(s, +1); (i+1 < len(fam)) != (up != nil) || (up != nil && up != fam[i+1]) {
+			t.Errorf("Step(%s, +1) = %v", s.Name, up)
+		}
+		if down := c.Step(s, -1); (i > 0) != (down != nil) || (down != nil && down != fam[i-1]) {
+			t.Errorf("Step(%s, -1) = %v", s.Name, down)
+		}
+	}
+}

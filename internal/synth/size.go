@@ -292,7 +292,7 @@ func (o *optimizer) fixLegality(r *sta.Result) int {
 		if r.Slew[n.ID] <= limit+1e-12 {
 			continue
 		}
-		if up := o.upsizeOneStep(n.Driver.Spec); up != nil {
+		if up := o.cat.Step(n.Driver.Spec, +1); up != nil {
 			if o.nl.Resize(n.Driver, up) == nil {
 				o.res.Upsized++
 				fixes++
@@ -319,28 +319,6 @@ func (o *optimizer) nextSizeFor(spec *stdcell.Spec, pin string, load float64) *s
 		}
 		if load <= o.lim.Pin(s, pin).Load {
 			return s
-		}
-	}
-	return nil
-}
-
-// upsizeOneStep returns the next size up in the family, or nil.
-func (o *optimizer) upsizeOneStep(spec *stdcell.Spec) *stdcell.Spec {
-	fam := o.cat.Families[spec.Family]
-	for i, s := range fam {
-		if s.Drive == spec.Drive && i+1 < len(fam) {
-			return fam[i+1]
-		}
-	}
-	return nil
-}
-
-// downsizeOneStep returns the next size down, or nil.
-func (o *optimizer) downsizeOneStep(spec *stdcell.Spec) *stdcell.Spec {
-	fam := o.cat.Families[spec.Family]
-	for i, s := range fam {
-		if s.Drive == spec.Drive && i > 0 {
-			return fam[i-1]
 		}
 	}
 	return nil
@@ -448,7 +426,7 @@ func (o *optimizer) timingStep(r *sta.Result) int {
 			continue
 		}
 		inst := n.Driver
-		up := o.upsizeOneStep(inst.Spec)
+		up := o.cat.Step(inst.Spec, +1)
 		if up == nil {
 			// Driver maxed out: a critical high-fanout net gains from a
 			// buffer split instead (the moved half trades two repeater
@@ -556,7 +534,7 @@ func (o *optimizer) collectDownsizes(r *sta.Result, margin float64) []sizeMove {
 		if slack < margin {
 			continue
 		}
-		down := o.downsizeOneStep(inst.Spec)
+		down := o.cat.Step(inst.Spec, -1)
 		if down == nil {
 			continue
 		}
