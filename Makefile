@@ -6,7 +6,7 @@ GO ?= go
 # Benchmarks tracked in BENCH_PR7.json (see DESIGN.md, "Performance
 # baseline & benchmark JSON").
 BENCH_JSON ?= BENCH_PR7.json
-BENCH_PAT  ?= BenchmarkCharacterize$$|BenchmarkFig3Bilinear$$|BenchmarkFig6LargestRectangle$$|BenchmarkAnalyzeDesign$$|BenchmarkLUTBilinearLookup$$|BenchmarkSynthesize$$|BenchmarkSynthesizeRestricted$$|BenchmarkWiden$$|BenchmarkWriteLiberty$$|BenchmarkParseLiberty$$|BenchmarkBuildQueryStore$$|BenchmarkPowerEstimate$$
+BENCH_PAT  ?= BenchmarkCharacterize$$|BenchmarkFig3Bilinear$$|BenchmarkFig6LargestRectangle$$|BenchmarkAnalyzeDesign$$|BenchmarkLUTBilinearLookup$$|BenchmarkSynthesize$$|BenchmarkSynthesizeRestricted$$|BenchmarkWiden$$|BenchmarkSubstitute$$|BenchmarkNetlistClone$$|BenchmarkWriteLiberty$$|BenchmarkParseLiberty$$|BenchmarkBuildQueryStore$$|BenchmarkPowerEstimate$$
 BENCH_SCALE ?= small
 # Allocation-regression gate: bench-check fails any tracked benchmark
 # whose allocs_per_op or bytes_per_op exceeds ALLOC_RATIO x its

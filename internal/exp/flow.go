@@ -17,6 +17,7 @@ import (
 
 	"stdcelltune/internal/core"
 	"stdcelltune/internal/liberty"
+	"stdcelltune/internal/netlist"
 	"stdcelltune/internal/obs"
 	"stdcelltune/internal/perfstat"
 	"stdcelltune/internal/restrict"
@@ -86,6 +87,12 @@ type Flow struct {
 	tuneRes   map[string]*call[*tuneEntry]
 	synthOut  map[string]obs.SynthOutcome
 	minClock  float64
+
+	// mapped is the MCU mapped onto the catalogue, once: mapping reads
+	// no clock and no windows, so every synthesis sizes a clone of it.
+	// The template itself is never edited, observed or asked for a
+	// topological order, so concurrent syntheses clone it freely.
+	mapped call[*netlist.Netlist]
 }
 
 // problem is the content key of one synthesis: the exact clock bits and
@@ -323,7 +330,7 @@ func (f *Flow) solve(p problem, key string, clock float64, set *restrict.Set) (*
 		opts := synth.DefaultOptions(clock)
 		opts.Restrict = set
 		stop := f.Obs.Phase("synth", "key", key, "clock", clock)
-		res, err := synth.SynthesizeCtx(f.ctx, "mcu", f.MCU.Net, f.Cat, opts)
+		res, err := f.synthesize(opts)
 		stop()
 		if err != nil {
 			c.err = err
@@ -334,6 +341,16 @@ func (f *Flow) solve(p problem, key string, clock float64, set *restrict.Set) (*
 		c.val = res
 	})
 	return c.val, ran, c.err
+}
+
+// synthesize sizes a clone of the mapped MCU; the first call maps it.
+func (f *Flow) synthesize(opts synth.Options) (*synth.Result, error) {
+	c := &f.mapped
+	c.once.Do(func() { c.val, c.err = synth.Map("mcu", f.MCU.Net, f.Cat) })
+	if c.err != nil {
+		return nil, c.err
+	}
+	return synth.OptimizeCtx(f.ctx, c.val.Clone(), opts)
 }
 
 // SynthOutcomes lists what every cached synthesis unit did, sorted by

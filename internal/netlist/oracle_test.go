@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"stdcelltune/internal/stdcell"
@@ -9,9 +10,11 @@ import (
 
 // parseVerilogOracle is the Verilog reader ParseVerilog replaced: it
 // lexes the whole source into a token slice before parsing it, and
-// classifies pins through a per-instance output-pin map. It is kept as
-// the reference the differential tests hold the streaming parser to:
-// both must accept the same inputs and build identical netlists.
+// classifies pins through a per-instance output-pin map; it rejects an
+// unknown or repeated pin by name, where ParseVerilog checks positions.
+// It is kept as the reference the differential tests hold the streaming
+// parser to: both must accept the same inputs and build identical
+// netlists.
 func parseVerilogOracle(src string, cat *stdcell.Catalogue) (*Netlist, error) {
 	toks, err := oracleLex(src)
 	if err != nil {
@@ -199,6 +202,7 @@ func (p *oracleParser) parseModule() (*Netlist, error) {
 			for _, o := range spec.Outputs {
 				outPins[o] = true
 			}
+			seen := make(map[string]bool)
 			for {
 				t, err := p.next()
 				if err != nil {
@@ -227,6 +231,13 @@ func (p *oracleParser) parseModule() (*Netlist, error) {
 				if err := p.expect(")"); err != nil {
 					return nil, err
 				}
+				if !outPins[pin] && !slices.Contains(spec.Inputs, pin) {
+					return nil, fmt.Errorf("verilog: unknown pin %q on %s", pin, iname)
+				}
+				if seen[pin] {
+					return nil, fmt.Errorf("verilog: duplicate pin %q on %s", pin, iname)
+				}
+				seen[pin] = true
 				n := getNet(netName)
 				if outPins[pin] {
 					nl.Drive(inst, pin, n)

@@ -47,28 +47,28 @@ func WriteVerilog(w io.Writer, nl *Netlist) error {
 			v.put("  wire ", n.Name, ";\n")
 		}
 	}
-	var pins []string // one scratch slice, refilled per instance
+	var pins []pinNet // one scratch slice, refilled per instance
 	for _, inst := range nl.Instances {
 		pins = pins[:0]
-		for p := range inst.In {
-			pins = append(pins, p)
+		for i, n := range inst.In {
+			if n != nil {
+				pins = append(pins, pinNet{inst.Spec.Inputs[i], n})
+			}
 		}
-		for p := range inst.Out {
-			pins = append(pins, p)
+		for i, n := range inst.Out {
+			if n != nil {
+				pins = append(pins, pinNet{inst.Spec.Outputs[i], n})
+			}
 		}
-		slices.Sort(pins)
+		slices.SortFunc(pins, func(a, b pinNet) int { return strings.Compare(a.pin, b.pin) })
 		v.b = append(append(v.b, "  "...), inst.Spec.Name...)
 		v.put(" ", inst.Name, " (")
 		for i, p := range pins {
-			n := inst.In[p]
-			if n == nil {
-				n = inst.Out[p]
-			}
 			if i > 0 {
 				v.b = append(v.b, ", "...)
 			}
-			v.b = append(append(v.b, '.'), p...)
-			v.put("(", n.Name, ")")
+			v.b = append(append(v.b, '.'), p.pin...)
+			v.put("(", p.n.Name, ")")
 		}
 		v.b = append(v.b, ");\n"...)
 	}
@@ -87,6 +87,13 @@ func WriteVerilog(w io.Writer, nl *Netlist) error {
 	}
 	_, err := w.Write(v.b)
 	return err
+}
+
+// pinNet is one connected pin of an instance, for WriteVerilog's
+// name-sorted port list.
+type pinNet struct {
+	pin string
+	n   *Net
 }
 
 // vwriter appends Verilog text to b; err records the first name that
@@ -318,8 +325,15 @@ func (p *vparser) parseModule() (*Netlist, error) {
 				if err := p.expect(")"); err != nil {
 					return nil, err
 				}
+				out, in := pinIndex(spec.Outputs, pin), pinIndex(spec.Inputs, pin)
+				switch {
+				case out < 0 && in < 0:
+					return nil, fmt.Errorf("verilog: instance %s: cell %s has no pin %q", iname, spec.Name, pin)
+				case out >= 0 && inst.Out[out] != nil, in >= 0 && inst.In[in] != nil:
+					return nil, fmt.Errorf("verilog: instance %s: pin %s connected twice", iname, pin)
+				}
 				n := getNet(netName)
-				if slices.Contains(spec.Outputs, pin) {
+				if out >= 0 {
 					nl.Drive(inst, pin, n)
 				} else {
 					nl.Connect(inst, pin, n)

@@ -139,8 +139,8 @@ func Estimate(nl *netlist.Netlist, timing *sta.Result, cfg Config) (*Report, err
 
 func worstInputSlew(inst *netlist.Instance, timing *sta.Result) float64 {
 	worst := timing.Cfg.InputSlew
-	for _, pin := range inst.Spec.Inputs {
-		if n := inst.In[pin]; n != nil && n.ID < len(timing.Slew) && timing.Slew[n.ID] > worst {
+	for _, n := range inst.In {
+		if n != nil && n.ID < len(timing.Slew) && timing.Slew[n.ID] > worst {
 			worst = timing.Slew[n.ID]
 		}
 	}

@@ -430,7 +430,9 @@ func (s *Store) buildDesignTables(nl *netlist.Netlist, stat *statlib.Library, cf
 	for _, inst := range nl.Instances {
 		fanout := 0
 		for _, n := range inst.Out {
-			fanout += len(n.Sinks)
+			if n != nil {
+				fanout += len(n.Sinks)
+			}
 		}
 		iName.S = append(iName.S, inst.Name)
 		iCell.S = append(iCell.S, inst.Spec.Name)

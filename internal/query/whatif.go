@@ -286,10 +286,14 @@ func (w *widening) resize(inst *netlist.Instance, to *stdcell.Spec) error {
 		return err
 	}
 	for _, n := range inst.In {
-		w.touched = append(w.touched, n)
+		if n != nil {
+			w.touched = append(w.touched, n)
+		}
 	}
 	for _, n := range inst.Out {
-		w.touched = append(w.touched, n)
+		if n != nil {
+			w.touched = append(w.touched, n)
+		}
 	}
 	return nil
 }

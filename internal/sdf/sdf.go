@@ -54,17 +54,19 @@ func Write(w io.Writer, nl *netlist.Netlist, r *sta.Result, opts Options) error 
 	return err
 }
 
-// iopaths builds the IOPATH lines of one instance.
+// iopaths builds the IOPATH lines of one instance, in Spec.Outputs
+// order and, per output, in the Liberty pin's arc order.
 func iopaths(nl *netlist.Netlist, r *sta.Result, inst *netlist.Instance, stat *statlib.Library) []string {
 	cell := nl.Cat.Lib.Cell(inst.Spec.Name)
 	if cell == nil {
 		return nil
 	}
 	var out []string
-	for outPin, outNet := range inst.Out {
-		if outNet.ID >= len(r.Load) {
+	for oi, outNet := range inst.Out {
+		if outNet == nil || outNet.ID >= len(r.Load) {
 			continue
 		}
+		outPin := inst.Spec.Outputs[oi]
 		load := r.Load[outNet.ID]
 		p := cell.Pin(outPin)
 		if p == nil {
@@ -72,7 +74,7 @@ func iopaths(nl *netlist.Netlist, r *sta.Result, inst *netlist.Instance, stat *s
 		}
 		for _, arc := range p.Timing {
 			slew := r.Cfg.InputSlew
-			if in := inst.In[arc.RelatedPin]; in != nil && in.ID < len(r.Slew) {
+			if in := inst.Input(arc.RelatedPin); in != nil && in.ID < len(r.Slew) {
 				slew = r.Slew[in.ID]
 			}
 			rise := arc.CellRise.Lookup(load, slew)

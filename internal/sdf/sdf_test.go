@@ -69,9 +69,9 @@ func TestTriplesMatchSTA(t *testing.T) {
 	}
 	// The INV arc delay at its operating point must appear in the file.
 	inv := nl.Instances[1]
-	y := inv.Out["Y"]
+	y := inv.Output("Y")
 	arc := cat.Lib.Cell("INV_2").Pin("Y").Timing[0]
-	q := inv.In["A"]
+	q := inv.Input("A")
 	rise := arc.CellRise.Lookup(r.Load[y.ID], r.Slew[q.ID])
 	want := num(rise)
 	if !strings.Contains(sb.String(), want) {
@@ -122,5 +122,44 @@ func TestNameEscaping(t *testing.T) {
 	}
 	if sdfName("plain") != "plain" {
 		t.Error("plain name mangled")
+	}
+}
+
+// TestWriteDeterministic: a multi-output cell's IOPATH blocks come out
+// in Spec.Outputs order (ADDF: S, then CO), so writing one design
+// repeatedly gives the same bytes every time.
+func TestWriteDeterministic(t *testing.T) {
+	nl := netlist.New("adder", cat)
+	fa := nl.AddInstance("u_fa", cat.Spec("ADDF_2"))
+	for _, pin := range []string{"A", "B", "CI"} {
+		nl.Connect(fa, pin, nl.AddInput(strings.ToLower(pin)))
+	}
+	for _, pin := range []string{"CO", "S"} { // driven in the other order
+		n := nl.AddNet("")
+		nl.Drive(fa, pin, n)
+		nl.MarkOutput(strings.ToLower(pin), n)
+	}
+	r, err := sta.Analyze(nl, sta.DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 20; i++ {
+		var sb strings.Builder
+		if err := Write(&sb, nl, r, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = sb.String()
+		} else if sb.String() != first {
+			t.Fatalf("write %d differs from the first:\n%s\nvs\n%s", i, sb.String(), first)
+		}
+	}
+	s, co := strings.Index(first, "(IOPATH A S "), strings.Index(first, "(IOPATH A CO ")
+	if s < 0 || co < 0 || s > co {
+		t.Fatalf("want the S block before the CO block:\n%s", first)
+	}
+	if !strings.Contains(first, "(IOPATH CI CO ") {
+		t.Fatalf("missing the CI->CO arc:\n%s", first)
 	}
 }

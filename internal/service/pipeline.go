@@ -17,6 +17,7 @@ import (
 	"stdcelltune/internal/obs"
 	"stdcelltune/internal/service/shard"
 	"stdcelltune/internal/statlib"
+	"stdcelltune/internal/synth"
 	"stdcelltune/internal/variation"
 )
 
@@ -118,6 +119,67 @@ func catalogue(corner stdcelltune.Corner) *stdcelltune.Catalogue {
 	return cat
 }
 
+// templates holds one mapped netlist per (design, corner). Mapping
+// reads only the design's configuration and the corner's catalogue,
+// never a job's clock or windows, so every job of a design sizes a
+// clone of one template instead of generating and mapping the design
+// again. A stored template is read-only: nothing resizes it, observes
+// it or caches a topological order on it, so concurrent jobs clone it
+// without further locking.
+var templates struct {
+	mu sync.Mutex
+	m  map[templateKey]*netlist.Netlist
+}
+
+type templateKey struct {
+	design string
+	corner stdcelltune.Corner
+}
+
+// mappedDesign returns the process's template of a design at a corner,
+// generating and mapping it on first use.
+func mappedDesign(design string, corner stdcelltune.Corner, cat *stdcelltune.Catalogue) (*netlist.Netlist, error) {
+	templates.mu.Lock()
+	defer templates.mu.Unlock()
+	key := templateKey{design, corner}
+	if nl, ok := templates.m[key]; ok {
+		return nl, nil
+	}
+	cfg, _ := designConfig(design)
+	src, err := stdcelltune.NewMCUWith(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("rtlgen: %w", err)
+	}
+	nl, err := synth.Map(design, src, cat)
+	if err != nil {
+		return nil, fmt.Errorf("synthesize: %w", err)
+	}
+	if templates.m == nil {
+		templates.m = make(map[templateKey]*netlist.Netlist)
+	}
+	templates.m[key] = nl
+	return nl, nil
+}
+
+// synthesize sizes a clone of the design's template against the job's
+// clock and windows.
+func synthesize(ctx context.Context, spec Spec, corner stdcelltune.Corner, cat *stdcelltune.Catalogue, win *stdcelltune.Windows) (*stdcelltune.SynthesisResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("synthesize: %w: %v", stdcelltune.ErrCancelled, err)
+	}
+	tmpl, err := mappedDesign(spec.Design, corner, cat)
+	if err != nil {
+		return nil, err
+	}
+	opts := synth.DefaultOptions(spec.ClockNS)
+	opts.Restrict = win
+	res, err := synth.OptimizeCtx(ctx, tmpl.Clone(), opts)
+	if err != nil {
+		return nil, fmt.Errorf("synthesize: %w", err)
+	}
+	return res, nil
+}
+
 // Stage counters in the process-default registry: how many times the
 // pipeline's two expensive stages started. A request answered from the
 // cache or by the query layer leaves both unchanged — the direct witness
@@ -171,20 +233,12 @@ func (p *Pipeline) Run(ctx context.Context, spec Spec) (map[string][]byte, error
 		return nil, fmt.Errorf("tune: %w", err)
 	}
 
-	cfg, _ := designConfig(spec.Design)
 	synthesizeRuns.Add(1)
 	span = tr.Start("synthesize", "service", "design", spec.Design, "clock_ns", spec.ClockNS)
-	design, err := stdcelltune.NewMCUWith(cfg)
-	if err != nil {
-		span.End()
-		return nil, fmt.Errorf("rtlgen: %w", err)
-	}
-	res, err := stdcelltune.SynthesizeCtx(ctx, design, cat, stdcelltune.SynthesizeOptions{
-		Clock: spec.ClockNS, Windows: win, Name: spec.Design,
-	})
+	res, err := synthesize(ctx, spec, corner, cat, win)
 	span.End()
 	if err != nil {
-		return nil, fmt.Errorf("synthesize: %w", err)
+		return nil, err
 	}
 
 	span = tr.Start("analyze-variation", "service", "rho", spec.Rho)

@@ -64,7 +64,11 @@ func (r *Result) AnalyzeHold() (*HoldResult, error) {
 	}
 	for _, inst := range order {
 		if inst.Spec.IsSequential() {
-			for pin, out := range inst.Out {
+			for oi, out := range inst.Out {
+				if out == nil {
+					continue
+				}
+				pin := inst.Spec.Outputs[oi]
 				arc := r.arcOf(inst, pin, inst.Spec.Clock)
 				if arc == nil {
 					continue
@@ -76,10 +80,14 @@ func (r *Result) AnalyzeHold() (*HoldResult, error) {
 			}
 			continue
 		}
-		for pin, out := range inst.Out {
+		for oi, out := range inst.Out {
+			if out == nil {
+				continue
+			}
+			pin := inst.Spec.Outputs[oi]
 			best := math.Inf(1)
-			for _, in := range inst.Spec.Inputs {
-				inNet := inst.In[in]
+			for ii, in := range inst.Spec.Inputs {
+				inNet := inst.In[ii]
 				if inNet == nil {
 					continue
 				}
@@ -103,7 +111,7 @@ func (r *Result) AnalyzeHold() (*HoldResult, error) {
 		if !inst.Spec.IsSequential() {
 			continue
 		}
-		d := inst.In["D"]
+		d := inst.Input("D")
 		if d == nil || d.Driver == nil {
 			// Primary-input-fed flops are externally timed; without an
 			// input-delay constraint a hold check there is meaningless.

@@ -35,7 +35,7 @@ func TestHoldRegToReg(t *testing.T) {
 		t.Error("min arrival must be positive through two cells")
 	}
 	// Min arrival cannot exceed the max-delay arrival.
-	d := nl.Instances[2].In["D"]
+	d := nl.Instances[2].Input("D")
 	if ff2.Arrival > r.Arrival[d.ID]+1e-12 {
 		t.Errorf("min arrival %g above max arrival %g", ff2.Arrival, r.Arrival[d.ID])
 	}

@@ -57,7 +57,7 @@ func TestRequiredTimesSetupSubtracted(t *testing.T) {
 			ff2 = inst
 		}
 	}
-	d := ff2.In["D"]
+	d := ff2.Input("D")
 	want := cfg.ClockPeriod - cfg.Uncertainty - ff2.Spec.SetupTime(nl.Cat.Corner)
 	if math.Abs(req[d.ID]-want) > 1e-12 {
 		t.Errorf("required(D)=%g want %g", req[d.ID], want)

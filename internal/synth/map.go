@@ -38,7 +38,10 @@ type mapper struct {
 	tieL  *netlist.Net
 }
 
-// Map covers the logic network with minimum-drive standard cells.
+// Map covers the logic network with minimum-drive standard cells. It
+// reads no clock and no windows, so one mapped netlist serves every
+// synthesis of a design: callers that synthesize repeatedly clone it and
+// size the copy (Optimize edits its netlist in place).
 func Map(name string, src *logic.Network, cat *stdcell.Catalogue) (*netlist.Netlist, error) {
 	if err := src.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: source network invalid: %w", err)
@@ -438,7 +441,7 @@ func (m *mapper) halfAdder(n *logic.Node) *netlist.Instance {
 
 // faOutput returns (creating on demand) the net of an adder output pin.
 func (m *mapper) faOutput(inst *netlist.Instance, pin string) *netlist.Net {
-	if n, ok := inst.Out[pin]; ok {
+	if n := inst.Output(pin); n != nil {
 		return n
 	}
 	n := m.nl.AddNet("")

@@ -273,12 +273,11 @@ func (o *optimizer) fixLegality(r *sta.Result) int {
 			}
 			// A multi-output sink's outputs may carry different
 			// windows: take its first connected output in Spec.Outputs
-			// order, never in map order, so the repair is a pure
-			// function of the netlist.
+			// order.
 			var outPin string
-			for _, p := range s.Inst.Spec.Outputs {
-				if _, ok := s.Inst.Out[p]; ok {
-					outPin = p
+			for i, out := range s.Inst.Out {
+				if out != nil {
+					outPin = s.Inst.Spec.Outputs[i]
 					break
 				}
 			}
@@ -457,8 +456,7 @@ func (o *optimizer) timingStep(r *sta.Result) int {
 // instance's current worst input slew.
 func (o *optimizer) windowAllowsSlew(cand *stdcell.Spec, pin string, r *sta.Result, inst *netlist.Instance) bool {
 	limit := o.lim.Pin(cand, pin).Slew
-	for _, p := range inst.Spec.Inputs {
-		in := inst.In[p]
+	for _, in := range inst.In {
 		if in == nil || in.ID >= len(r.Slew) {
 			continue // net created after this STA pass; checked next pass
 		}
@@ -573,7 +571,7 @@ func (o *optimizer) resizeDelayDelta(r *sta.Result, inst *netlist.Instance, n *n
 		if i >= len(np.Timing) {
 			break
 		}
-		inNet := inst.In[arc.RelatedPin]
+		inNet := inst.Input(arc.RelatedPin)
 		slew := o.opts.STA.InputSlew
 		if inNet != nil && inNet.ID < len(r.Slew) {
 			slew = r.Slew[inNet.ID]
