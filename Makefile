@@ -75,11 +75,15 @@ experiments-small:
 
 # End-to-end observability smoke: run the small experiment battery with
 # tracing and bench JSON on, then validate the three artifacts
-# (Chrome trace, run manifest, bench JSON) with cmd/obscheck.
-OBS_TRACE ?= /tmp/obs-trace.json
-OBS_BENCH ?= /tmp/obs-bench.json
+# (Chrome trace, run manifest, bench JSON) with cmd/obscheck. They are
+# written inside the checkout, under the git-ignored OBS_DIR, which
+# `make clean` removes.
+OBS_DIR   ?= .obs_smoke
+OBS_TRACE ?= $(OBS_DIR)/obs-trace.json
+OBS_BENCH ?= $(OBS_DIR)/obs-bench.json
 
 obs-smoke:
+	mkdir -p $(dir $(OBS_TRACE)) $(dir $(OBS_BENCH))
 	$(GO) run ./cmd/experiments -small -trace $(OBS_TRACE) -benchjson $(OBS_BENCH)
 	$(GO) run ./cmd/obscheck -trace $(OBS_TRACE) \
 		-manifest $(basename $(OBS_TRACE)).manifest.json -bench $(OBS_BENCH)
@@ -92,3 +96,4 @@ cluster-bench:
 
 clean:
 	$(GO) clean ./...
+	rm -rf $(OBS_DIR)

@@ -517,12 +517,31 @@ func testQuery(t *testing.T, dir string) {
 		t.Fatalf("substitute OR2_1 -> OR2_2: full_analyses %d, area delta %g; want 1 and positive", w.FullAnalyses, w.Delta.AreaUM2)
 	}
 
-	// Every query ran on the one store the cold query built.
-	prom := string(n.get("/metrics"))
-	for _, line := range []string{"query_store_builds 1\n", "query_store_build_count 1\n"} {
-		if !hasLine(prom, line) {
+	// Every query ran on the one store the cold query built, which the
+	// store cache still holds: nothing was evicted, and its bytes are
+	// resident.
+	prom := n.get("/metrics")
+	for _, line := range []string{"query_store_builds 1\n", "query_store_build_count 1\n", "query_store_evictions 0\n"} {
+		if !hasLine(string(prom), line) {
 			t.Fatalf("/metrics lacks %q", line)
 		}
+	}
+	samples, types, err := obs.ParsePrometheusText(bytes.NewReader(prom))
+	if err != nil {
+		t.Fatalf("/metrics is not Prometheus text: %v", err)
+	}
+	if types["query_store_evictions"] != "counter" || types["query_store_resident_bytes"] != "gauge" {
+		t.Fatalf("/metrics declares query_store_evictions %q and query_store_resident_bytes %q, want counter and gauge",
+			types["query_store_evictions"], types["query_store_resident_bytes"])
+	}
+	resident := 0.0
+	for _, s := range samples {
+		if s.Name == "query_store_resident_bytes" {
+			resident = s.Value
+		}
+	}
+	if !(resident > 0) {
+		t.Fatalf("query_store_resident_bytes %g with one store cached, want > 0", resident)
 	}
 
 	type errorBody struct {

@@ -73,8 +73,9 @@ func oracleSeeds(t testing.TB) []string {
 // FuzzParseLiberty holds the single-pass parser to the two-stage parser
 // it replaced (parseOracle): on any text both accept or both reject,
 // and what they accept they build into libraries identical down to the
-// bits of every float. Parse must never panic, and anything it accepts
-// must survive a write/re-parse cycle.
+// bits of every float. Parse must never panic, anything it accepts
+// must survive a write/re-parse cycle, and the library it builds keeps
+// no slice of the text.
 func FuzzParseLiberty(f *testing.F) {
 	for _, s := range oracleSeeds(f) {
 		f.Add(s)
@@ -126,6 +127,7 @@ func checkAgainstOracle(t *testing.T, src string) {
 	if d := sameBits(reflect.ValueOf(lib), reflect.ValueOf(want), "lib"); d != "" {
 		t.Fatalf("Parse and oracle libraries differ at %s, on:\n%q", d, src)
 	}
+	checkRetainsNoSource(t, lib, src)
 	// Whatever the parser accepts, the writer must serialize (a parsed
 	// value never holds a double quote), as text that reads back as the
 	// library it wrote: writing the re-parsed library gives the same text.

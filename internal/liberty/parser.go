@@ -18,8 +18,12 @@ import (
 // number lists are parsed straight from the source into the tables.
 // Within a group the first occurrence of an attribute that carries a
 // value wins.
+//
+// The returned library shares no memory with src: every string it keeps
+// is a copy, made once per distinct value, so holding the library does
+// not hold the text.
 func Parse(src string) (*Library, error) {
-	p := &parser{scanner: scanner{src: src, line: 1}}
+	p := &parser{scanner: scanner{src: src, line: 1}, kept: make(map[string]string)}
 	t, err := p.next()
 	if err != nil {
 		return nil, err
@@ -39,7 +43,7 @@ func Parse(src string) (*Library, error) {
 	if t.text != "library" {
 		return nil, fmt.Errorf("liberty: top-level group is %q, want library", t.text)
 	}
-	l, err := p.library(firstArg(p.vals))
+	l, err := p.library(p.keep(firstArg(p.vals)))
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +151,45 @@ type parser struct {
 	// Scratch reused across statements and tables.
 	vals         []string // values (or group arguments) of the last statement
 	rows         []string // value rows of the table being parsed
-	loads, slews []float64
+	loads, slews axis
+	// kept interns the strings the library keeps, as copies (see keep).
+	kept map[string]string
+}
+
+// keep returns a copy of s that does not point into the source,
+// interned so that every use of one name shares a single copy. Every
+// string the library model holds goes through keep; tokens that are
+// only compared or parsed stay slices of the source.
+func (p *parser) keep(s string) string {
+	if k, ok := p.kept[s]; ok {
+		return k
+	}
+	k := strings.Clone(s)
+	p.kept[k] = k
+	return k
+}
+
+// axis is a table axis parsed from its index string. The tables of an
+// arc repeat the same index_1 and index_2 strings, so an axis whose
+// string is byte-equal to the last one parsed is reused, not parsed
+// again.
+type axis struct {
+	text string // the index string vals holds, valid when ok
+	vals []float64
+	ok   bool
+}
+
+func (a *axis) parse(s string) ([]float64, error) {
+	if a.ok && s == a.text {
+		return a.vals, nil
+	}
+	a.ok = false
+	vals, err := appendFloats(a.vals[:0], s)
+	if err != nil {
+		return nil, err
+	}
+	a.text, a.vals, a.ok = s, vals, true
+	return vals, nil
 }
 
 func (p *parser) expect(c byte) error {
@@ -296,13 +338,13 @@ func (p *parser) library(name string) (*Library, error) {
 		case stmtGroup:
 			switch name {
 			case "lu_table_template":
-				t, err := p.template(firstArg(p.vals))
+				t, err := p.template(p.keep(firstArg(p.vals)))
 				if err != nil {
 					return nil, err
 				}
 				l.Templates = append(l.Templates, t)
 			case "cell":
-				c, err := p.cell(firstArg(p.vals))
+				c, err := p.cell(p.keep(firstArg(p.vals)))
 				if err != nil {
 					return nil, err
 				}
@@ -317,7 +359,9 @@ func (p *parser) library(name string) (*Library, error) {
 				// Complex attribute: its first occurrence counts, with or
 				// without values.
 				if take(&capUnit) && len(p.vals) == 2 {
-					l.CapacitiveUnit = p.vals[0] + p.vals[1]
+					// A concatenation with an empty operand is the
+					// other operand itself, so it is kept too.
+					l.CapacitiveUnit = p.keep(p.vals[0] + p.vals[1])
 				}
 				continue
 			}
@@ -328,11 +372,11 @@ func (p *parser) library(name string) (*Library, error) {
 			switch name {
 			case "time_unit":
 				if take(&timeUnit) {
-					l.TimeUnit = v
+					l.TimeUnit = p.keep(v)
 				}
 			case "voltage_unit":
 				if take(&voltageUnit) {
-					l.VoltageUnit = v
+					l.VoltageUnit = p.keep(v)
 				}
 			case "nom_voltage":
 				if take(&nomV) {
@@ -348,7 +392,7 @@ func (p *parser) library(name string) (*Library, error) {
 				}
 			case "default_operating_conditions":
 				if take(&corner) {
-					l.OperatingCorner = v
+					l.OperatingCorner = p.keep(v)
 				}
 			}
 		}
@@ -378,11 +422,11 @@ func (p *parser) template(name string) (*Template, error) {
 			switch name {
 			case "variable_1":
 				if take(&v1) {
-					t.Variable1 = v
+					t.Variable1 = p.keep(v)
 				}
 			case "variable_2":
 				if take(&v2) {
-					t.Variable2 = v
+					t.Variable2 = p.keep(v)
 				}
 			case "index_1":
 				if take(&i1) {
@@ -443,7 +487,7 @@ func (p *parser) cell(name string) (*Cell, error) {
 				}
 				continue
 			}
-			pin, err := p.pin(firstArg(p.vals))
+			pin, err := p.pin(p.keep(firstArg(p.vals)))
 			if err != nil {
 				return nil, fmt.Errorf("cell %q: %w", c.Name, err)
 			}
@@ -464,7 +508,7 @@ func (p *parser) cell(name string) (*Cell, error) {
 				}
 			case "cell_footprint":
 				if take(&footprint) {
-					c.Footprint = v
+					c.Footprint = p.keep(v)
 				}
 			case "is_sequential":
 				if take(&seq) {
@@ -529,7 +573,7 @@ func (p *parser) pin(name string) (*Pin, error) {
 				}
 			case "function":
 				if take(&function) {
-					pin.Function = v
+					pin.Function = p.keep(v)
 				}
 			}
 		}
@@ -556,7 +600,7 @@ func (p *parser) arc() (*TimingArc, error) {
 				return nil, fmt.Errorf("arc from %q: %w", a.RelatedPin, err)
 			}
 			if a.Template == "" {
-				a.Template = template
+				a.Template = p.keep(template)
 			}
 			switch name {
 			case "cell_rise":
@@ -580,15 +624,15 @@ func (p *parser) arc() (*TimingArc, error) {
 			switch name {
 			case "related_pin":
 				if take(&related) {
-					a.RelatedPin = v
+					a.RelatedPin = p.keep(v)
 				}
 			case "timing_sense":
 				if take(&sense) {
-					a.Sense = v
+					a.Sense = p.keep(v)
 				}
 			case "timing_type":
 				if take(&typ) {
-					a.Type = v
+					a.Type = p.keep(v)
 				}
 			}
 		}
@@ -615,7 +659,7 @@ func (p *parser) powerArc() (*PowerArc, error) {
 				return nil, fmt.Errorf("power arc from %q: %w", a.RelatedPin, err)
 			}
 			if a.Template == "" {
-				a.Template = template
+				a.Template = p.keep(template)
 			}
 			switch name {
 			case "rise_power":
@@ -625,7 +669,7 @@ func (p *parser) powerArc() (*PowerArc, error) {
 			}
 		case stmtAttr:
 			if v, ok := p.value(); ok && name == "related_pin" && take(&related) {
-				a.RelatedPin = v
+				a.RelatedPin = p.keep(v)
 			}
 		}
 	}
@@ -634,7 +678,8 @@ func (p *parser) powerArc() (*PowerArc, error) {
 // table parses a value-table group. index_1, index_2 and values may
 // come in any order, so the row strings (slices of the source) are held
 // until the group closes; then each row is parsed straight into the
-// table's row-major storage.
+// table's row-major storage. The axes are parser scratch (see axis),
+// which lut.New copies.
 func (p *parser) table(kind string) (*lut.Table, error) {
 	var index1, index2 string
 	var seen1, seen2, values bool
@@ -675,15 +720,14 @@ func (p *parser) table(kind string) (*lut.Table, error) {
 	if !seen2 {
 		return nil, fmt.Errorf("table %q missing index_2", kind)
 	}
-	loads, err := appendFloats(p.loads[:0], index1)
+	loads, err := p.loads.parse(index1)
 	if err != nil {
 		return nil, err
 	}
-	slews, err := appendFloats(p.slews[:0], index2)
+	slews, err := p.slews.parse(index2)
 	if err != nil {
 		return nil, err
 	}
-	p.loads, p.slews = loads, slews // scratch: lut.New copies the axes
 	if len(p.rows) != len(loads) {
 		return nil, fmt.Errorf("table %q has %d value rows for %d loads", kind, len(p.rows), len(loads))
 	}

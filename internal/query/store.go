@@ -199,6 +199,8 @@ type Store struct {
 	// base is the unmodified design's snapshot, every what-if's
 	// baseline, taken from the analysis behind the paths table.
 	base Metrics
+
+	bytes int64 // see Bytes
 }
 
 // TableNames lists the store's tables sorted.
@@ -253,6 +255,7 @@ func Build(src Source) (*Store, error) {
 			return nil, err
 		}
 	}
+	s.bytes = s.estimateBytes()
 	return s, nil
 }
 

@@ -112,7 +112,7 @@ func TestQueryStoreBuildMetrics(t *testing.T) {
 	builds, lat := obs.Default().Counter("query.store_builds"), obs.Default().HDR("query.store_build")
 	b0, n0 := builds.Value(), lat.Count()
 
-	qs := newQueryStores()
+	qs := newStoreCache[*query.Store](queryStoreBudget)
 	release := make(chan struct{})
 	var calls int
 	build := func() (*query.Store, error) {

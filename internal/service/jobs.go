@@ -337,9 +337,9 @@ type Manager struct {
 	tenantActive map[string]int
 	recovered    int
 
-	// qstores caches decoded query stores per library digest (bounded;
-	// see queryStoreCacheSize).
-	qstores *queryStores
+	// qstores caches decoded query stores per library digest, within
+	// queryStoreBudget bytes.
+	qstores *storeCache[*query.Store]
 }
 
 // NewManager builds and starts a manager over the given cache store.
@@ -366,7 +366,7 @@ func NewManager(store *cache.Store, opts ManagerOptions) *Manager {
 		queue:        make(chan *Job, opts.QueueDepth+len(pending)),
 		jobs:         make(map[string]*Job),
 		tenantActive: make(map[string]int),
-		qstores:      newQueryStores(),
+		qstores:      newStoreCache[*query.Store](queryStoreBudget),
 	}
 	if opts.MaxRPS > 0 {
 		m.bucket = newTokenBucket(opts.MaxRPS, opts.Burst, opts.Now)

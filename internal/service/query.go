@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -30,80 +31,111 @@ var ErrNotQueryable = errors.New("library artifact set is not queryable")
 // libraries; library listings filter on ArtifactSpec instead.
 const ArtifactQueryResult = "result.json"
 
-// queryStoreCacheSize bounds the number of decoded query stores kept
-// hot on the manager. A store is tens of MB of columns plus the parsed
-// netlist; bounding the set makes memory proportional to working set,
-// not cache size. Eviction is FIFO — the workload is "analyst pounds
-// one or two libraries", not a scan.
-const queryStoreCacheSize = 4
+// queryStoreBudget caps the bytes (query.Store.Bytes) of the decoded
+// query stores a manager keeps. It is the artifact cache's blob budget:
+// six headline stores (~8 MB each) fit, about what four stores held
+// when they still pinned their Liberty text.
+const queryStoreBudget = cache.ResidentBudget
 
-// Query-store builds in the process-default registry, named after the
-// benchmark ledger's layer: query.store_builds counts builds (a
-// rebuild after FIFO eviction counts again; a request that joined an
-// in-flight build does not), and query.store_build is their latency,
-// whose summary reads as query.store_build_ms percentiles.
+// Query-store cache metrics in the process-default registry, named
+// after the benchmark ledger's layer: query.store_builds counts builds
+// (a rebuild after eviction counts again; a request that joined an
+// in-flight build does not), query.store_build is their latency, whose
+// summary reads as query.store_build_ms percentiles,
+// query.store_evictions counts stores dropped to stay in budget, and
+// query.store_resident_bytes is the bytes the cached stores hold.
 var (
 	storeBuilds    = obs.Default().Counter("query.store_builds")
 	storeBuildTime = obs.Default().HDR("query.store_build")
+	storeEvictions = obs.Default().Counter("query.store_evictions")
+	storeResident  = obs.Default().Gauge("query.store_resident_bytes")
 )
 
-// queryStores is the manager's bounded digest→store cache.
-type queryStores struct {
-	mu     sync.Mutex
-	stores map[string]*query.Store
-	order  []string
+// sized is a cached value that reports its footprint.
+type sized interface{ Bytes() int64 }
+
+// storeCache is the manager's digest→store cache: least recently used
+// first out, bounded by the summed Bytes of its stores.
+type storeCache[S sized] struct {
+	budget int64
+
+	mu       sync.Mutex
+	resident int64
+	lru      *list.List // of *storeSlot[S], most recently used first
+	slots    map[string]*list.Element
 	// building single-flights store construction per digest: building a
 	// store runs a full STA pass, and concurrent first queries against
 	// one library must not each pay it.
-	building map[string]*storeFlight
+	building map[string]*storeFlight[S]
 }
 
-type storeFlight struct {
+type storeSlot[S sized] struct {
+	dig   string
+	store S
+}
+
+type storeFlight[S sized] struct {
 	done  chan struct{}
-	store *query.Store
+	store S
 	err   error
 }
 
-func newQueryStores() *queryStores {
-	return &queryStores{stores: make(map[string]*query.Store), building: make(map[string]*storeFlight)}
+func newStoreCache[S sized](budget int64) *storeCache[S] {
+	return &storeCache[S]{
+		budget:   budget,
+		lru:      list.New(),
+		slots:    make(map[string]*list.Element),
+		building: make(map[string]*storeFlight[S]),
+	}
 }
 
-// get returns the cached store or builds it via build, deduplicating
-// concurrent builds of the same digest.
-func (qs *queryStores) get(dig string, build func() (*query.Store, error)) (*query.Store, error) {
-	qs.mu.Lock()
-	if s, ok := qs.stores[dig]; ok {
-		qs.mu.Unlock()
-		return s, nil
+// get returns the cached store, now the most recently used, or builds
+// it via build, deduplicating concurrent builds of the same digest. A
+// new store is kept even when it alone is over the budget; the least
+// recently used others are evicted until the total fits.
+func (c *storeCache[S]) get(dig string, build func() (S, error)) (S, error) {
+	c.mu.Lock()
+	if el, ok := c.slots[dig]; ok {
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
+		return el.Value.(*storeSlot[S]).store, nil
 	}
-	if fl, ok := qs.building[dig]; ok {
-		qs.mu.Unlock()
+	if fl, ok := c.building[dig]; ok {
+		c.mu.Unlock()
 		<-fl.done
 		return fl.store, fl.err
 	}
-	fl := &storeFlight{done: make(chan struct{})}
-	qs.building[dig] = fl
-	qs.mu.Unlock()
+	fl := &storeFlight[S]{done: make(chan struct{})}
+	c.building[dig] = fl
+	c.mu.Unlock()
 
 	storeBuilds.Add(1)
 	start := time.Now()
 	fl.store, fl.err = build()
 	storeBuildTime.Observe(time.Since(start))
 
-	qs.mu.Lock()
+	c.mu.Lock()
 	if fl.err == nil {
-		qs.stores[dig] = fl.store
-		qs.order = append(qs.order, dig)
-		for len(qs.order) > queryStoreCacheSize {
-			evict := qs.order[0]
-			qs.order = qs.order[1:]
-			delete(qs.stores, evict)
+		c.slots[dig] = c.lru.PushFront(&storeSlot[S]{dig, fl.store})
+		c.charge(fl.store.Bytes())
+		for c.resident > c.budget && c.lru.Len() > 1 {
+			old := c.lru.Remove(c.lru.Back()).(*storeSlot[S])
+			delete(c.slots, old.dig)
+			c.charge(-old.store.Bytes())
+			storeEvictions.Add(1)
 		}
 	}
-	delete(qs.building, dig)
-	qs.mu.Unlock()
+	delete(c.building, dig)
+	c.mu.Unlock()
 	close(fl.done)
 	return fl.store, fl.err
+}
+
+// charge moves the cache's resident bytes and the process gauge; the
+// caller holds c.mu.
+func (c *storeCache[S]) charge(n int64) {
+	c.resident += n
+	storeResident.Add(float64(n))
 }
 
 // QueryStore returns the columnar query store of a cached library,
@@ -146,59 +178,34 @@ func BuildQueryStore(e *cache.Entry) (*query.Store, error) {
 	if statBody == nil {
 		return nil, fmt.Errorf("%w: %s has no %s", ErrNotQueryable, e.Digest, ArtifactStatLib)
 	}
-	lib, err := liberty.Parse(string(statBody))
-	if err != nil {
-		return nil, fmt.Errorf("%w: parse %s: %v", ErrNotQueryable, ArtifactStatLib, err)
-	}
-	stat, err := statlib.FromLiberty(lib)
-	if err != nil {
-		return nil, fmt.Errorf("%w: rebuild statistical library: %v", ErrNotQueryable, err)
-	}
 
-	var windows *restrict.Set
-	winBody, err := artifactBytes(e, ArtifactWindows)
+	// The two texts are independent: the netlist decodes on its own
+	// goroutine while this one decodes the library and the windows. Its
+	// error is reported after theirs, in the order a sequential decode
+	// would meet them.
+	var nl *netlist.Netlist
+	var nlErr error
+	nlDone := make(chan struct{})
+	go func() {
+		defer close(nlDone)
+		nl, nlErr = decodeNetlist(e, spec)
+	}()
+	stat, windows, err := decodeLibrary(e, statBody)
+	<-nlDone
 	if err != nil {
 		return nil, err
 	}
-	if winBody != nil {
-		var wd windowsDoc
-		if err := json.Unmarshal(winBody, &wd); err != nil {
-			return nil, fmt.Errorf("%w: decode %s: %v", ErrNotQueryable, ArtifactWindows, err)
-		}
-		windows = restrict.NewSet(wd.Name)
-		for _, w := range wd.Windows {
-			windows.Put(w.Cell, w.Pin, restrict.Window{
-				MinLoad: w.MinLoad, MaxLoad: w.MaxLoad,
-				MinSlew: w.MinSlew, MaxSlew: w.MaxSlew,
-			})
-		}
+	if nlErr != nil {
+		return nil, nlErr
 	}
 
 	src := query.Source{
 		Library: e.Digest,
 		Stat:    stat,
 		Windows: windows,
+		Netlist: nl,
 		STA:     sta.DefaultConfig(spec.ClockNS),
 		Rho:     spec.Rho,
-	}
-
-	// Entries sealed before the query layer existed have no netlist.v;
-	// they still serve the library-side tables, but design tables and
-	// what-ifs need the netlist.
-	nlBody, err := artifactBytes(e, ArtifactNetlist)
-	if err != nil {
-		return nil, err
-	}
-	if nlBody != nil {
-		corner, ok := cornerFromSlug(spec.Corner)
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown corner %q", ErrNotQueryable, spec.Corner)
-		}
-		nl, err := netlist.ParseVerilog(string(nlBody), catalogue(corner))
-		if err != nil {
-			return nil, fmt.Errorf("%w: parse %s: %v", ErrNotQueryable, ArtifactNetlist, err)
-		}
-		src.Netlist = nl
 	}
 
 	synthBody, err := artifactBytes(e, ArtifactSynthesis)
@@ -232,6 +239,59 @@ func BuildQueryStore(e *cache.Entry) (*query.Store, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNotQueryable, err)
 	}
 	return s, nil
+}
+
+// decodeLibrary rebuilds the statistical library from its Liberty text
+// and the tuned windows from windows.json (nil when e has none).
+func decodeLibrary(e *cache.Entry, statBody []byte) (*statlib.Library, *restrict.Set, error) {
+	lib, err := liberty.Parse(string(statBody))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: parse %s: %v", ErrNotQueryable, ArtifactStatLib, err)
+	}
+	stat, err := statlib.FromLiberty(lib)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: rebuild statistical library: %v", ErrNotQueryable, err)
+	}
+
+	winBody, err := artifactBytes(e, ArtifactWindows)
+	if err != nil {
+		return nil, nil, err
+	}
+	if winBody == nil {
+		return stat, nil, nil
+	}
+	var wd windowsDoc
+	if err := json.Unmarshal(winBody, &wd); err != nil {
+		return nil, nil, fmt.Errorf("%w: decode %s: %v", ErrNotQueryable, ArtifactWindows, err)
+	}
+	windows := restrict.NewSet(wd.Name)
+	for _, w := range wd.Windows {
+		windows.Put(w.Cell, w.Pin, restrict.Window{
+			MinLoad: w.MinLoad, MaxLoad: w.MaxLoad,
+			MinSlew: w.MinSlew, MaxSlew: w.MaxSlew,
+		})
+	}
+	return stat, windows, nil
+}
+
+// decodeNetlist parses netlist.v over the spec's corner catalogue.
+// Entries sealed before the query layer existed have no netlist.v and
+// decode to nil: they still serve the library-side tables, but design
+// tables and what-ifs need the netlist.
+func decodeNetlist(e *cache.Entry, spec Spec) (*netlist.Netlist, error) {
+	nlBody, err := artifactBytes(e, ArtifactNetlist)
+	if err != nil || nlBody == nil {
+		return nil, err
+	}
+	corner, ok := cornerFromSlug(spec.Corner)
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown corner %q", ErrNotQueryable, spec.Corner)
+	}
+	nl, err := netlist.ParseVerilog(string(nlBody), catalogue(corner))
+	if err != nil {
+		return nil, fmt.Errorf("%w: parse %s: %v", ErrNotQueryable, ArtifactNetlist, err)
+	}
+	return nl, nil
 }
 
 // artifactBytes reads the named artifact of e: nil without error when e
