@@ -13,9 +13,9 @@ BENCH_SCALE ?= small
 # recorded baseline.
 ALLOC_RATIO ?= 1.10
 
-.PHONY: ci fmt vet build test test-procs2 race fuzz fuzz-short bench-json bench-check experiments-small obs-smoke cluster-bench clean
+.PHONY: ci fmt vet build test test-procs2 test-verify race fuzz fuzz-short bench-json bench-check experiments-small obs-smoke cluster-bench clean
 
-ci: fmt vet build test-procs2 race fuzz-short bench-check obs-smoke
+ci: fmt vet build test-procs2 test-verify race fuzz-short bench-check obs-smoke
 
 # Every Go file gofmt-clean.
 fmt:
@@ -37,6 +37,14 @@ test:
 # scenarios.
 test-procs2:
 	GOMAXPROCS=2 $(GO) test ./...
+
+# The packages whose engines live longest, with every engine update
+# cross-checked against a fresh full analysis (STA_VERIFY=1): a query
+# store's what-if session keeps one engine through every what-if it
+# serves, and synthesis drives one through thousands of edits, so the
+# engine's exactness over long edit histories is load-bearing.
+test-verify:
+	STA_VERIFY=1 $(GO) test ./internal/query ./internal/synth
 
 race:
 	$(GO) test -race ./...

@@ -533,11 +533,14 @@ func BenchmarkSynthesizeRestricted(b *testing.B) {
 }
 
 // BenchmarkWiden times one window-widening what-if (factor 1.5) on the
-// MCU synthesized under sigma-ceiling windows: a baseline full pass,
-// then one single-instance downsize probe per sizable instance. Each
-// probe costs its cone plus the endpoints; BENCH_PR7.json gates its
-// allocs_per_op, which catches a return to a snapshot or a "cell/pin"
-// window key per probe.
+// MCU synthesized under sigma-ceiling windows. The store's what-if
+// session is built by the first op and reused by every later one, so
+// an op is one single-instance downsize probe per sizable instance, the
+// final snapshot and statistical pass, and the restore that resizes
+// the accepted downsizes back and re-times them. Each probe costs its
+// cone plus the endpoints; BENCH_PR7.json gates its allocs_per_op,
+// which catches a return to a snapshot or a "cell/pin" window key per
+// probe, or to a design clone and engine per what-if.
 func BenchmarkWiden(b *testing.B) {
 	f := flow(b)
 	clocks, err := f.Clocks()
@@ -571,8 +574,10 @@ func BenchmarkWiden(b *testing.B) {
 // BenchmarkSubstitute times one substitution what-if, the served
 // what-if workload's majority op: on the MCU synthesized under
 // sigma-ceiling windows, swap every instance of the most used cell for
-// the next drive up. Each op clones the design, runs one baseline pass
-// and one batched incremental update, then the statistical timing.
+// the next drive up. The first op builds the store's what-if session
+// (clone and baseline pass); every op then makes one batched
+// incremental update, the statistical timing, and the restore's
+// resize-back and incremental update.
 func BenchmarkSubstitute(b *testing.B) {
 	f := flow(b)
 	clocks, err := f.Clocks()

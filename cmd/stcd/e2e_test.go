@@ -469,8 +469,9 @@ func testCrash(t *testing.T, dir string) {
 
 // testQuery: the api/2 library surface and query layer of one finished
 // job: listing, a group query that goes miss -> hit with the same bytes
-// (also for a normalized variant), a substitute what-if with one full
-// analysis, the store metrics and the error envelope.
+// (also for a normalized variant), two substitute what-ifs with one full
+// analysis each, the first building the store's what-if session and the
+// second reusing it, the store metrics and the error envelope.
 func testQuery(t *testing.T, dir string) {
 	n := daemon(t, dir, "stcd", "-cachedir", filepath.Join(dir, "cache"))
 	dig := n.await("v2", n.submit("v2", smokeSpec)).Digest
@@ -516,12 +517,23 @@ func testQuery(t *testing.T, dir string) {
 	if w.FullAnalyses != 1 || !(w.Delta.AreaUM2 > 0) {
 		t.Fatalf("substitute OR2_1 -> OR2_2: full_analyses %d, area delta %g; want 1 and positive", w.FullAnalyses, w.Delta.AreaUM2)
 	}
+	// The second what-if runs on the session the first one parked, and
+	// still reports the baseline's one full analysis.
+	w = query.WhatIfResult{}
+	if err := json.Unmarshal(q(`{"schema":"stdcelltune-query/1","what_if":{"op":"substitute","from":"OR2_2","to":"OR2_1"}}`, "miss"), &w); err != nil {
+		t.Fatal(err)
+	}
+	if w.FullAnalyses != 1 {
+		t.Fatalf("substitute OR2_2 -> OR2_1: full_analyses %d, want 1", w.FullAnalyses)
+	}
 
 	// Every query ran on the one store the cold query built, which the
 	// store cache still holds: nothing was evicted, and its bytes are
-	// resident.
+	// resident. The first what-if built the store's session and the
+	// second reused it.
 	prom := n.get("/metrics")
-	for _, line := range []string{"query_store_builds 1\n", "query_store_build_count 1\n", "query_store_evictions 0\n"} {
+	for _, line := range []string{"query_store_builds 1\n", "query_store_build_count 1\n", "query_store_evictions 0\n",
+		"query_whatif_sessions_built 1\n", "query_whatif_session_reuses 1\n"} {
 		if !hasLine(string(prom), line) {
 			t.Fatalf("/metrics lacks %q", line)
 		}

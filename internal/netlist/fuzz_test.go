@@ -52,7 +52,8 @@ func escapedNetlist() *Netlist {
 
 // FuzzParseVerilog holds the streaming parser to the token-slice parser
 // it replaced (parseVerilogOracle): on any text both accept or both
-// reject, and what they accept they build into identical netlists.
+// reject, and what they accept they build into identical netlists that
+// keep no slice of the text.
 func FuzzParseVerilog(f *testing.F) {
 	for _, s := range verilogSeeds(f) {
 		f.Add(s)
@@ -88,6 +89,7 @@ func TestParseVerilogMatchesOracle(t *testing.T) {
 
 func checkVerilogAgainstOracle(t *testing.T, src string) {
 	t.Helper()
+	src = strings.Clone(src) // a private copy, for the retention check
 	nl, err := ParseVerilog(src, cat)
 	want, werr := parseVerilogOracle(src, cat)
 	if (err == nil) != (werr == nil) {
@@ -95,5 +97,8 @@ func checkVerilogAgainstOracle(t *testing.T, src string) {
 	}
 	if err == nil && !reflect.DeepEqual(nl, want) {
 		t.Fatalf("ParseVerilog and oracle netlists differ, on:\n%q", src)
+	}
+	if err == nil {
+		checkRetainsNoSource(t, nl, src)
 	}
 }

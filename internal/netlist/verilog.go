@@ -126,10 +126,65 @@ func (v *vwriter) put(prefix, name, suffix string) {
 
 // ParseVerilog reads a flat structural module written by WriteVerilog
 // back into a netlist over the given catalogue. Tokens are read on
-// demand, straight from src.
+// demand, straight from src; the netlist keeps no slice of src (see
+// ownNames), so a long-lived netlist does not pin its text.
 func ParseVerilog(src string, cat *stdcell.Catalogue) (*Netlist, error) {
 	p := &vparser{src: src, cat: cat}
-	return p.parseModule()
+	nl, err := p.parseModule()
+	if err != nil {
+		return nil, err
+	}
+	ownNames(nl)
+	return nl, nil
+}
+
+// ownNames copies the names a parsed netlist took from its source text
+// (module, instance, net and primary-output names) into one shared
+// string, one allocation per netlist rather than one per name. Pin
+// names are the catalogue's already.
+func ownNames(nl *Netlist) {
+	size := len(nl.Name)
+	for _, inst := range nl.Instances {
+		size += len(inst.Name)
+	}
+	for _, n := range nl.Nets {
+		size += len(n.Name)
+		for _, s := range n.Sinks {
+			if s.Inst == nil {
+				size += len(s.Pin)
+			}
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(nl.Name)
+	for _, inst := range nl.Instances {
+		b.WriteString(inst.Name)
+	}
+	for _, n := range nl.Nets {
+		b.WriteString(n.Name)
+		for _, s := range n.Sinks {
+			if s.Inst == nil {
+				b.WriteString(s.Pin)
+			}
+		}
+	}
+	buf := b.String()
+	own := func(name *string) {
+		*name, buf = buf[:len(*name)], buf[len(*name):]
+	}
+	own(&nl.Name)
+	for _, inst := range nl.Instances {
+		own(&inst.Name)
+	}
+	for _, n := range nl.Nets {
+		own(&n.Name)
+		for i := range n.Sinks {
+			if n.Sinks[i].Inst == nil {
+				own(&n.Sinks[i].Pin)
+			}
+		}
+	}
 }
 
 // vdelim marks the bytes that end a plain identifier.
@@ -332,11 +387,13 @@ func (p *vparser) parseModule() (*Netlist, error) {
 				case out >= 0 && inst.Out[out] != nil, in >= 0 && inst.In[in] != nil:
 					return nil, fmt.Errorf("verilog: instance %s: pin %s connected twice", iname, pin)
 				}
+				// Wire by the catalogue's pin name, not the token: the
+				// netlist must not keep slices of src.
 				n := getNet(netName)
 				if out >= 0 {
-					nl.Drive(inst, pin, n)
+					nl.Drive(inst, spec.Outputs[out], n)
 				} else {
-					nl.Connect(inst, pin, n)
+					nl.Connect(inst, spec.Inputs[in], n)
 				}
 			}
 			if err := p.expect(";"); err != nil {

@@ -30,12 +30,13 @@ const (
 
 // Bytes is the store's estimated heap footprint: the columns, the
 // statistical library's tables and names, the tuned windows, and the
-// netlist's instances, nets, pin and sink slices and names. It is
-// computed once by Build from the store's content, so equal stores
-// report equal sizes on every run; it is what the service's store cache
-// budgets by. Values the store shares with the process (the cell
-// catalogue) are not counted.
-func (s *Store) Bytes() int64 { return s.bytes }
+// netlist's instances, nets, pin and sink slices and names, plus the
+// warm what-if session while the store keeps one. The content part is
+// computed once by Build, so equal stores report equal sizes on every
+// run until a what-if builds their session; it is what the service's
+// store cache budgets by. Values the store shares with the process (the
+// cell catalogue) are not counted.
+func (s *Store) Bytes() int64 { return s.bytes + s.sessions.bytes.Load() }
 
 // round8 is n rounded up to the allocator's 8-byte granularity.
 func round8(n int64) int64 { return (n + 7) &^ 7 }

@@ -8,8 +8,10 @@
 // library buy me?" questions are answered without re-running the
 // pipeline.
 //
-// The store is immutable once built: concurrent queries share it
-// freely, and what-if evaluators clone the netlist before mutating.
+// The store's tables are immutable once built: concurrent queries share
+// them freely. What-ifs edit a private clone of the netlist; the store
+// parks one such clone, already timed at the baseline, between
+// what-ifs (session.go).
 // Execution is deterministic — fixed column order, stable sorts, group
 // keys ordered by value — so identical queries over the same library
 // render byte-identical results, which is what makes them cacheable in
@@ -182,13 +184,14 @@ type Source struct {
 }
 
 // Store is the queryable columnar image of one characterized library
-// and its synthesized design. Immutable after Build.
+// and its synthesized design. Its tables are immutable after Build; its
+// methods are safe for concurrent use.
 type Store struct {
 	Library string
 	Tables  map[string]*Table
 
-	// What-if inputs: the shared read-only netlist (cloned per
-	// evaluation), the statistical library, the tuned windows and the
+	// What-if inputs: the shared read-only netlist (cloned into each
+	// session), the statistical library, the tuned windows and the
 	// timing context the design was synthesized under.
 	stat    *statlib.Library
 	windows *restrict.Set
@@ -201,6 +204,8 @@ type Store struct {
 	base Metrics
 
 	bytes int64 // see Bytes
+
+	sessions sessionSlot // the warm what-if session
 }
 
 // TableNames lists the store's tables sorted.

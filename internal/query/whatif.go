@@ -67,8 +67,10 @@ type WhatIfResult struct {
 	Result   Metrics `json:"result"`
 	Delta    Metrics `json:"delta"`
 
-	// Engine accounting for this evaluation: one full pass to establish
-	// the baseline, then incremental updates only.
+	// Engine accounting for this evaluation: the one full pass that
+	// establishes the baseline, counted whether this evaluation ran it
+	// or reused a session already at the baseline, then the evaluation's
+	// own updates — what a fresh engine would report.
 	FullAnalyses       int `json:"full_analyses"`
 	IncrementalUpdates int `json:"incremental_updates"`
 
@@ -110,7 +112,7 @@ func snapshotMetrics(nl *netlist.Netlist, r *sta.Result, ds *stattime.DesignStat
 }
 
 // Substitute evaluates "swap every instance of cell `from` for cell
-// `to`" with one baseline full analysis and a single batched
+// `to`" on the baseline-timed session with a single batched
 // incremental reanalysis — no synthesis. Cross-footprint swaps are
 // rejected: pin names and logic function only line up within a family.
 func (s *Store) Substitute(from, to string) (*WhatIfResult, error) {
@@ -128,13 +130,12 @@ func (s *Store) Substitute(from, to string) (*WhatIfResult, error) {
 	if fromSpec.Family != toSpec.Family {
 		return nil, fmt.Errorf("%w: cannot substitute across footprints %s -> %s", ErrBadQuery, fromSpec.Family, toSpec.Family)
 	}
-
-	nl := s.nl.Clone()
-	eng := sta.NewEngine(nl, s.staCfg)
-	defer eng.Close()
-	if err := eng.Update(); err != nil {
-		return nil, fmt.Errorf("query: baseline analysis: %w", err)
+	ss, err := s.checkout()
+	if err != nil {
+		return nil, err
 	}
+	defer s.checkin(ss)
+	nl := ss.nl
 
 	res := &WhatIfResult{
 		Schema:  SchemaWhatIf,
@@ -157,19 +158,20 @@ func (s *Store) Substitute(from, to string) (*WhatIfResult, error) {
 	}
 	if res.Changed == 0 {
 		res.Baseline, res.Result = s.base, s.base
-		res.FullAnalyses, res.IncrementalUpdates = eng.Counts()
+		res.FullAnalyses, res.IncrementalUpdates = ss.counts()
 		return res, nil
 	}
-	nr, err := eng.Analyze()
+	nr, err := ss.eng.Analyze()
 	if err != nil {
 		return nil, fmt.Errorf("query: substituted analysis: %w", err)
 	}
+	ss.snap = nr
 	after, err := s.metrics(nl, nr)
 	if err != nil {
 		return nil, err
 	}
 	res.Baseline, res.Result, res.Delta = s.base, after, after.sub(s.base)
-	res.FullAnalyses, res.IncrementalUpdates = eng.Counts()
+	res.FullAnalyses, res.IncrementalUpdates = ss.counts()
 	return res, nil
 }
 
@@ -191,18 +193,18 @@ func (s *Store) widen(factor float64, probed func(*widening)) (*WhatIfResult, er
 	if s.windows == nil || s.windows.Len() == 0 {
 		return nil, fmt.Errorf("%w: library has no restriction windows to widen", ErrBadQuery)
 	}
-	nl := s.nl.Clone()
+	ss, err := s.checkout()
+	if err != nil {
+		return nil, err
+	}
+	defer s.checkin(ss)
+	nl, eng := ss.nl, ss.eng
 	cat := nl.Cat
-	eng := sta.NewEngine(nl, s.staCfg)
-	defer eng.Close()
 	w := &widening{
 		nl:   nl,
 		eng:  eng,
 		lim:  restrict.Resolve(widenSet(s.windows, factor), cat),
 		viol: make([]uint8, nl.NetExtent()),
-	}
-	if err := eng.Update(); err != nil {
-		return nil, fmt.Errorf("query: baseline analysis: %w", err)
 	}
 	for _, n := range nl.Nets {
 		w.recheck(n)
@@ -255,12 +257,13 @@ func (s *Store) widen(factor float64, probed func(*widening)) (*WhatIfResult, er
 	if err != nil {
 		return nil, fmt.Errorf("query: widen final analysis: %w", err)
 	}
+	ss.snap = r
 	after, err := s.metrics(nl, r)
 	if err != nil {
 		return nil, err
 	}
 	res.Baseline, res.Result, res.Delta = s.base, after, after.sub(s.base)
-	res.FullAnalyses, res.IncrementalUpdates = eng.Counts()
+	res.FullAnalyses, res.IncrementalUpdates = ss.counts()
 	return res, nil
 }
 

@@ -32,9 +32,10 @@ var ErrNotQueryable = errors.New("library artifact set is not queryable")
 const ArtifactQueryResult = "result.json"
 
 // queryStoreBudget caps the bytes (query.Store.Bytes) of the decoded
-// query stores a manager keeps. It is the artifact cache's blob budget:
-// six headline stores (~8 MB each) fit, about what four stores held
-// when they still pinned their Liberty text.
+// query stores a manager keeps, their warm what-if sessions included.
+// It is the artifact cache's blob budget: six headline stores (~8 MB
+// each) fit, about what four stores held when they still pinned their
+// Liberty text; a store that runs what-ifs roughly doubles.
 const queryStoreBudget = cache.ResidentBudget
 
 // Query-store cache metrics in the process-default registry, named
@@ -43,7 +44,8 @@ const queryStoreBudget = cache.ResidentBudget
 // in-flight build does not), query.store_build is their latency, whose
 // summary reads as query.store_build_ms percentiles,
 // query.store_evictions counts stores dropped to stay in budget, and
-// query.store_resident_bytes is the bytes the cached stores hold.
+// query.store_resident_bytes is the bytes the cached stores hold, their
+// what-if sessions included.
 var (
 	storeBuilds    = obs.Default().Counter("query.store_builds")
 	storeBuildTime = obs.Default().HDR("query.store_build")
@@ -53,6 +55,10 @@ var (
 
 // sized is a cached value that reports its footprint.
 type sized interface{ Bytes() int64 }
+
+// releaser is a cached value that holds memory beyond its build (a
+// query store's what-if session) and drops it when evicted.
+type releaser interface{ Release() }
 
 // storeCache is the manager's digest→store cache: least recently used
 // first out, bounded by the summed Bytes of its stores.
@@ -70,8 +76,9 @@ type storeCache[S sized] struct {
 }
 
 type storeSlot[S sized] struct {
-	dig   string
-	store S
+	dig     string
+	store   S
+	charged int64 // the store's Bytes as last charged to resident
 }
 
 type storeFlight[S sized] struct {
@@ -116,19 +123,48 @@ func (c *storeCache[S]) get(dig string, build func() (S, error)) (S, error) {
 
 	c.mu.Lock()
 	if fl.err == nil {
-		c.slots[dig] = c.lru.PushFront(&storeSlot[S]{dig, fl.store})
-		c.charge(fl.store.Bytes())
-		for c.resident > c.budget && c.lru.Len() > 1 {
-			old := c.lru.Remove(c.lru.Back()).(*storeSlot[S])
-			delete(c.slots, old.dig)
-			c.charge(-old.store.Bytes())
-			storeEvictions.Add(1)
-		}
+		slot := &storeSlot[S]{dig: dig, store: fl.store, charged: fl.store.Bytes()}
+		c.slots[dig] = c.lru.PushFront(slot)
+		c.charge(slot.charged)
+		c.evict()
 	}
 	delete(c.building, dig)
 	c.mu.Unlock()
 	close(fl.done)
 	return fl.store, fl.err
+}
+
+// recharge re-reads the Bytes of dig's cached store, which move when a
+// what-if builds or drops its session, and evicts least recently used
+// stores until the total fits again. A store no longer cached is left
+// alone: eviction released it.
+func (c *storeCache[S]) recharge(dig string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.slots[dig]
+	if !ok {
+		return
+	}
+	slot := el.Value.(*storeSlot[S])
+	n := slot.store.Bytes()
+	c.charge(n - slot.charged)
+	slot.charged = n
+	c.evict()
+}
+
+// evict drops least recently used stores, releasing what they hold,
+// until the resident bytes fit the budget or one store is left; the
+// caller holds c.mu.
+func (c *storeCache[S]) evict() {
+	for c.resident > c.budget && c.lru.Len() > 1 {
+		old := c.lru.Remove(c.lru.Back()).(*storeSlot[S])
+		delete(c.slots, old.dig)
+		c.charge(-old.charged)
+		if r, ok := any(old.store).(releaser); ok {
+			r.Release()
+		}
+		storeEvictions.Add(1)
+	}
 }
 
 // charge moves the cache's resident bytes and the process gauge; the
@@ -348,6 +384,7 @@ func (m *Manager) ExecuteQuery(ctx context.Context, dig string, raw []byte) (any
 		var doc any
 		if q.WhatIf != nil {
 			doc, err = s.EvalWhatIf(q.WhatIf)
+			m.qstores.recharge(dig)
 		} else {
 			doc, err = s.Execute(q)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,7 +13,9 @@ import (
 	"time"
 
 	"stdcelltune/internal/obs"
+	"stdcelltune/internal/query"
 	"stdcelltune/internal/service/cache"
+	"stdcelltune/internal/stdcell"
 )
 
 // stubStore stands in for a query store of a set size.
@@ -22,6 +25,15 @@ type stubStore struct {
 }
 
 func (s *stubStore) Bytes() int64 { return s.bytes }
+
+// sessionStore is a stubStore that can be released, as a query store
+// drops its what-if session.
+type sessionStore struct {
+	stubStore
+	released bool
+}
+
+func (s *sessionStore) Release() { s.released = true }
 
 // TestQueryStoreLRUByBytes: the store cache evicts by recency, not by
 // insertion; after every build its stores fit the budget, unless the
@@ -137,6 +149,47 @@ func TestQueryStoreLRUByBytes(t *testing.T) {
 	check("e", 5, "e", "d")
 }
 
+// TestQueryStoreRecharge: a cached store whose Bytes grow (a query
+// store building its what-if session) is charged the growth on
+// recharge, which evicts and releases the least recently used others
+// until the total fits, and a shrink is credited back; a recharge for
+// a digest no longer cached changes nothing.
+func TestQueryStoreRecharge(t *testing.T) {
+	resident := obs.Default().Gauge("query.store_resident_bytes")
+	r0 := resident.Value()
+	c := newStoreCache[*sessionStore](100)
+	stores := map[string]*sessionStore{}
+	get := func(dig string, bytes int64) *sessionStore {
+		t.Helper()
+		s, err := c.get(dig, func() (*sessionStore, error) { return &sessionStore{stubStore: stubStore{dig, bytes}}, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[dig] = s
+		return s
+	}
+	a := get("a", 30)
+	get("b", 30)
+	get("c", 30)
+	get("a", 30) // a is the most recently used
+	a.bytes = 55 // a what-if built its session
+	c.recharge("a")
+	if c.resident != 85 || c.lru.Len() != 2 || !stores["b"].released || stores["c"].released || a.released {
+		t.Fatalf("after a grows: resident %d, %d stores, released b %v c %v a %v; want 85, 2, only b",
+			c.resident, c.lru.Len(), stores["b"].released, stores["c"].released, a.released)
+	}
+	if g := resident.Value() - r0; g != 85 {
+		t.Fatalf("query.store_resident_bytes moved by %g, want 85", g)
+	}
+	stores["b"].bytes = 1000
+	c.recharge("b") // evicted: not charged
+	a.bytes = 30    // the session was dropped
+	c.recharge("a")
+	if c.resident != 60 || resident.Value()-r0 != 60 {
+		t.Fatalf("after a shrinks: resident %d, gauge moved by %g; want 60", c.resident, resident.Value()-r0)
+	}
+}
+
 // TestStoreBytesEstimate holds query.Store.Bytes to the heap a store
 // really keeps: for the headline library it is within 15% of the live
 // heap one BuildQueryStore adds (median of three, after a warm-up build
@@ -182,6 +235,48 @@ func TestStoreBytesEstimate(t *testing.T) {
 	if 6*est > queryStoreBudget {
 		t.Errorf("six headline stores (6 x %d bytes) do not fit the %d-byte budget", est, queryStoreBudget)
 	}
+
+	// The first what-if parks a session; the growth of Bytes is held to
+	// the heap the parked session keeps, to the same 15%.
+	from, to := headlineUpsize(t, s)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := s.Substitute(from, to); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap = int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	sess := s.Bytes() - est
+	t.Logf("headline session: Bytes %d, heap %d (%.3f)", sess, heap, float64(sess)/float64(heap))
+	if r := float64(sess) / float64(heap); r < 0.85 || r > 1.15 {
+		t.Errorf("the session adds %d to Bytes(), %.2fx the %d bytes of heap it keeps, want within 15%%", sess, r, heap)
+	}
+}
+
+// headlineUpsize returns the store's first instance's cell and the next
+// drive up in its family, from the store's own tables.
+func headlineUpsize(t *testing.T, s *query.Store) (from, to string) {
+	t.Helper()
+	from = s.Tables["instances"].Col("cell").S[0]
+	cells := s.Tables["cells"]
+	fam, drive := cells.Col("family").S, cells.Col("drive").I
+	best := int64(-1)
+	for i, name := range cells.Col("cell").S {
+		if name == from {
+			best = drive[i]
+		}
+	}
+	for i, name := range cells.Col("cell").S {
+		if fam[i] == stdcell.FamilyOf(from) && drive[i] > best && (to == "" || drive[i] < drive[slices.Index(cells.Col("cell").S, to)]) {
+			to = name
+		}
+	}
+	if to == "" {
+		t.Fatalf("no larger drive of %s in the library", from)
+	}
+	return from, to
 }
 
 // TestBuildQueryStoreErrorOrder: the netlist decodes concurrently with

@@ -3,9 +3,11 @@ package sta
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"runtime/debug"
 	"sort"
+	"unsafe"
 
 	"stdcelltune/internal/liberty"
 	"stdcelltune/internal/netlist"
@@ -104,13 +106,11 @@ type Engine struct {
 	// snapshot.
 	prev *Result
 
-	// Worklist scratch for runIncremental: queuedGen[id] == queueGen marks
-	// an instance as queued this round (O(1) reset by bumping the gen);
-	// heap is the dirty-frontier min-heap's backing array, reused across
-	// rounds so cone updates never allocate.
-	queuedGen []uint32
-	queueGen  uint32
-	heap      intHeap
+	// queued is runIncremental's worklist: one bit per topological
+	// position, set while the instance there waits for evaluation. Every
+	// bit is cleared as it is taken, so the bitmap is all zero between
+	// rounds and cone updates never allocate.
+	queued []uint64
 
 	// free holds snapshots returned through Recycle; the next snapshot
 	// reuses their slices instead of allocating. Never holds last/prev.
@@ -147,6 +147,8 @@ type engArena struct {
 	nets []*netlist.Net
 	f64  []float64
 	bs   []bool
+
+	bytes int64 // summed size of every chunk allocated, for Engine.Bytes
 }
 
 const (
@@ -163,6 +165,7 @@ func (a *engArena) carvePins(n int) []engPin {
 			size = n
 		}
 		a.pins = make([]engPin, size)
+		a.bytes += int64(size) * int64(unsafe.Sizeof(a.pins[0]))
 	}
 	b := a.pins[:n:n]
 	a.pins = a.pins[n:]
@@ -176,6 +179,7 @@ func (a *engArena) carveNets(n int) []*netlist.Net {
 			size = n
 		}
 		a.nets = make([]*netlist.Net, size)
+		a.bytes += int64(size) * int64(unsafe.Sizeof(a.nets[0]))
 	}
 	b := a.nets[:n:n]
 	a.nets = a.nets[n:]
@@ -189,6 +193,7 @@ func (a *engArena) carveF64(n int) []float64 {
 			size = n
 		}
 		a.f64 = make([]float64, size)
+		a.bytes += int64(size) * int64(unsafe.Sizeof(a.f64[0]))
 	}
 	b := a.f64[:n:n]
 	a.f64 = a.f64[n:]
@@ -202,6 +207,7 @@ func (a *engArena) carveBools(n int) []bool {
 			size = n
 		}
 		a.bs = make([]bool, size)
+		a.bytes += int64(size) * int64(unsafe.Sizeof(a.bs[0]))
 	}
 	b := a.bs[:n:n]
 	a.bs = a.bs[n:]
@@ -289,6 +295,28 @@ func (e *Engine) Close() { e.nl.Unobserve(e) }
 // Counts returns how many full analyses and incremental updates this
 // engine has run.
 func (e *Engine) Counts() (full, incremental int) { return e.fullCount, e.incCount }
+
+// Bytes estimates the heap the engine holds between analyses: the
+// per-net working arrays, the per-instance cell cache and the arena
+// chunks its slices are carved from, the endpoint skeleton, the
+// worklist, and the snapshots it keeps (last, prev and the free pool).
+// It reads capacities, so it grows as retargeting warms the second
+// value-cache generation.
+func (e *Engine) Bytes() int64 {
+	n := int64(cap(e.load)+cap(e.arrival)+cap(e.slew))*8 + int64(cap(e.fromPin))*16 + int64(cap(e.overCap))
+	n += int64(cap(e.cells))*int64(unsafe.Sizeof(engCell{})) + e.arena.bytes
+	n += int64(cap(e.epRefs))*int64(unsafe.Sizeof(epRef{})) + int64(cap(e.queued)+cap(e.changed))*8
+	if e.last != nil {
+		n += e.last.bytes()
+	}
+	if e.prev != nil && e.prev != e.last {
+		n += e.prev.bytes()
+	}
+	for _, r := range e.free { // never last or prev
+		n += r.bytes()
+	}
+	return n
+}
 
 // --- netlist.Observer ----------------------------------------------
 
@@ -858,18 +886,15 @@ func (e *Engine) runIncremental(order []*netlist.Instance) (cone int, changed bo
 			}
 		}
 	}
-	for len(e.queuedGen) < len(e.nl.Instances) {
-		e.queuedGen = append(e.queuedGen, 0)
+	for words := (len(order) + 63) >> 6; len(e.queued) < words; {
+		e.queued = append(e.queued, 0)
 	}
-	e.queueGen++
-	gen := e.queueGen
-	h := e.heap[:0]
-	defer func() { e.heap = h }()
-	push := func(inst *netlist.Instance) {
-		if e.queuedGen[inst.ID] != gen {
-			e.queuedGen[inst.ID] = gen
-			h.push(idx[inst.ID])
-		}
+	q := e.queued
+	lo, hi := len(q), 0 // word range holding set bits
+	push := func(pos int) {
+		w := pos >> 6
+		q[w] |= 1 << (pos & 63)
+		lo, hi = min(lo, w), max(hi, w)
 	}
 	for _, inst := range e.dirtyInst {
 		// A resized flop changes its setup time — an endpoint-slack
@@ -877,26 +902,34 @@ func (e *Engine) runIncremental(order []*netlist.Instance) (cone int, changed bo
 		if inst.Spec.IsSequential() {
 			changed = true
 		}
-		push(inst)
+		push(idx[inst.ID])
 	}
-	for len(h) > 0 {
-		inst := order[h.pop()]
-		cone++
-		if !e.evalInst(inst) {
-			continue
-		}
-		changed = true
-		cc := &e.cells[inst.ID] // populated by evalInst's cellFor
-		for pi := range cc.pins {
-			out := cc.pins[pi].out
-			if out == nil {
+	// Take the lowest queued position until none is left. A sink sits
+	// after its driver in the order, so every push below lands past the
+	// position being evaluated and one forward scan visits the cone in
+	// the order a min-heap would pop it.
+	for w := lo; w <= hi; w++ {
+		for q[w] != 0 {
+			b := bits.TrailingZeros64(q[w])
+			q[w] &^= 1 << b
+			inst := order[w<<6|b]
+			cone++
+			if !e.evalInst(inst) {
 				continue
 			}
-			for _, s := range out.Sinks {
-				// Sequential sinks capture, they don't re-launch; the
-				// endpoint slacks are rebuilt from arrivals anyway.
-				if s.Inst != nil && !s.Inst.Spec.IsSequential() {
-					push(s.Inst)
+			changed = true
+			cc := &e.cells[inst.ID] // populated by evalInst's cellFor
+			for pi := range cc.pins {
+				out := cc.pins[pi].out
+				if out == nil {
+					continue
+				}
+				for _, s := range out.Sinks {
+					// Sequential sinks capture, they don't re-launch; the
+					// endpoint slacks are rebuilt from arrivals anyway.
+					if s.Inst != nil && !s.Inst.Spec.IsSequential() {
+						push(idx[s.Inst.ID])
+					}
 				}
 			}
 		}
@@ -1049,48 +1082,4 @@ func (e *Engine) Rewind(r *Result) error {
 	// place would let a later no-change Analyze resurrect stale state.
 	e.prev = r
 	return nil
-}
-
-// intHeap is a plain min-heap of topo-order positions; small and
-// allocation-light compared to container/heap's interface calls.
-type intHeap []int
-
-func (h *intHeap) push(v int) {
-	*h = append(*h, v)
-	a := *h
-	i := len(a) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if a[parent] <= a[i] {
-			break
-		}
-		a[parent], a[i] = a[i], a[parent]
-		i = parent
-	}
-}
-
-func (h *intHeap) pop() int {
-	a := *h
-	top := a[0]
-	last := len(a) - 1
-	a[0] = a[last]
-	a = a[:last]
-	*h = a
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(a) && a[l] < a[small] {
-			small = l
-		}
-		if r < len(a) && a[r] < a[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		a[i], a[small] = a[small], a[i]
-		i = small
-	}
-	return top
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"stdcelltune/internal/liberty"
 	"stdcelltune/internal/netlist"
@@ -100,6 +101,13 @@ type Result struct {
 	// pooled marks a snapshot sitting in its engine's Recycle pool,
 	// guarding against double-recycle.
 	pooled bool
+}
+
+// bytes estimates the heap of a snapshot's own slices (nets and
+// endpoints are the netlist's, counted there).
+func (r *Result) bytes() int64 {
+	return int64(unsafe.Sizeof(*r)) + int64(cap(r.Load)+cap(r.Arrival)+cap(r.Slew)+cap(r.MaxCapViolations)+cap(r.req)+cap(r.slacks))*8 +
+		int64(cap(r.fromPin))*16 + int64(cap(r.Endpoints))*int64(unsafe.Sizeof(Endpoint{}))
 }
 
 // Endpoint is a timing check location: a flip-flop D pin or a primary
