@@ -38,13 +38,17 @@ test:
 test-procs2:
 	GOMAXPROCS=2 $(GO) test ./...
 
-# The packages whose engines live longest, with every engine update
-# cross-checked against a fresh full analysis (STA_VERIFY=1): a query
+# The engine's own edit-sequence tests and fuzz seeds, plus the packages
+# whose engines live longest, with every engine Analyze and Update
+# cross-checked against a fresh full analysis (STA_VERIFY=1: arrivals,
+# slews, loads, fromPin, endpoints and max-cap violations): a query
 # store's what-if session keeps one engine through every what-if it
 # serves, and synthesis drives one through thousands of edits, so the
 # engine's exactness over long edit histories is load-bearing.
+# STA_VERIFY is read at package init, which the test cache does not
+# record, so -count=1 keeps a cached plain run from answering for it.
 test-verify:
-	STA_VERIFY=1 $(GO) test ./internal/query ./internal/synth
+	STA_VERIFY=1 $(GO) test -count=1 ./internal/sta ./internal/query ./internal/synth
 
 race:
 	$(GO) test -race ./...

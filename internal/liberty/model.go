@@ -11,6 +11,7 @@ package liberty
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -132,6 +133,16 @@ type TimingArc struct {
 // tables hold the constraint values.
 func (a *TimingArc) IsConstraint() bool {
 	return strings.HasPrefix(a.Type, "setup") || strings.HasPrefix(a.Type, "hold")
+}
+
+// Eval interpolates the arc at an operating point (load in pF, input slew
+// in ns) and returns the worse of the rise and fall delays and the worse
+// of the rise and fall transitions: the max-delay view every setup
+// analysis takes of an arc.
+func (a *TimingArc) Eval(load, slew float64) (delay, trans float64) {
+	delay = math.Max(a.CellRise.Lookup(load, slew), a.CellFall.Lookup(load, slew))
+	trans = math.Max(a.RiseTransition.Lookup(load, slew), a.FallTransition.Lookup(load, slew))
+	return delay, trans
 }
 
 // Tables returns the non-nil delay/transition/sigma tables of the arc

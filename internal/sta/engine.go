@@ -51,11 +51,11 @@ func IncrementalRatio() float64 {
 	return inc / (inc + full)
 }
 
-// defaultFullFrac is the dirty-set fraction of the instance count above
-// which Analyze falls back to a full propagation: past that point the
-// cone bookkeeping costs more than sweeping every instance through the
+// fullFrac is the dirty-set fraction of the instance count above which
+// Analyze falls back to a full propagation: past that point the cone
+// bookkeeping costs more than sweeping every instance through the
 // (mostly cache-hitting) arc evaluations.
-const defaultFullFrac = 0.25
+const fullFrac = 0.25
 
 // minFullThreshold keeps the fallback from triggering on tiny designs,
 // where even a whole-netlist dirty set is cheap to process as a cone.
@@ -65,7 +65,9 @@ const minFullThreshold = 64
 // registers as a netlist.Observer, accumulates a dirty frontier from the
 // edit journal (resizes, rewires, inserted repeaters), and on Analyze
 // re-propagates only the affected fanout cone — or the whole design when
-// the dirty set crosses FullFrac. Every Analyze returns a snapshot
+// the dirty set crosses fullFrac of the instances. It reads pin-to-net
+// wiring straight from the netlist's instances and caches only arcs and
+// arc values. Every Analyze returns a snapshot
 // *Result bit-identical to what a fresh sta.Analyze over the current
 // netlist would produce.
 //
@@ -123,10 +125,6 @@ type Engine struct {
 	epGen    uint64
 	epRefsOK bool
 
-	// FullFrac overrides the full-analysis fallback threshold (fraction
-	// of the instance count); zero means defaultFullFrac.
-	FullFrac float64
-
 	fullCount int
 	incCount  int
 
@@ -137,14 +135,13 @@ type Engine struct {
 }
 
 // engArena carves the small fixed-size slices every engine cell needs
-// (pin slots, wiring, value caches) out of large chunks, so building or
+// (pin slots and value caches) out of large chunks, so building or
 // re-targeting thousands of cells costs a handful of allocations per
-// chunk instead of seven per cell. Carved slices are abandoned, never
-// freed — a dropped cell's slices die with the chunk once nothing else
+// chunk instead of several per cell. Carved slices are abandoned, never
+// freed — an evicted value cache dies with its chunk once nothing else
 // references it, and the engine's working set is bounded by the netlist.
 type engArena struct {
 	pins []engPin
-	nets []*netlist.Net
 	f64  []float64
 	bs   []bool
 
@@ -153,64 +150,22 @@ type engArena struct {
 
 const (
 	arenaPinChunk = 1 << 9
-	arenaNetChunk = 1 << 11
 	arenaF64Chunk = 1 << 13
 	arenaBChunk   = 1 << 11
 )
 
-func (a *engArena) carvePins(n int) []engPin {
-	if len(a.pins) < n {
-		size := arenaPinChunk
-		if size < n {
-			size = n
-		}
-		a.pins = make([]engPin, size)
-		a.bytes += int64(size) * int64(unsafe.Sizeof(a.pins[0]))
+// carve cuts n elements off the chunk, first replacing it with a fresh
+// one of max(size, n) elements when fewer than n are left; every chunk
+// allocated is added to *bytes.
+func carve[T any](chunk *[]T, n, size int, bytes *int64) []T {
+	if len(*chunk) < n {
+		size = max(size, n)
+		*chunk = make([]T, size)
+		var zero T
+		*bytes += int64(size) * int64(unsafe.Sizeof(zero))
 	}
-	b := a.pins[:n:n]
-	a.pins = a.pins[n:]
-	return b
-}
-
-func (a *engArena) carveNets(n int) []*netlist.Net {
-	if len(a.nets) < n {
-		size := arenaNetChunk
-		if size < n {
-			size = n
-		}
-		a.nets = make([]*netlist.Net, size)
-		a.bytes += int64(size) * int64(unsafe.Sizeof(a.nets[0]))
-	}
-	b := a.nets[:n:n]
-	a.nets = a.nets[n:]
-	return b
-}
-
-func (a *engArena) carveF64(n int) []float64 {
-	if len(a.f64) < n {
-		size := arenaF64Chunk
-		if size < n {
-			size = n
-		}
-		a.f64 = make([]float64, size)
-		a.bytes += int64(size) * int64(unsafe.Sizeof(a.f64[0]))
-	}
-	b := a.f64[:n:n]
-	a.f64 = a.f64[n:]
-	return b
-}
-
-func (a *engArena) carveBools(n int) []bool {
-	if len(a.bs) < n {
-		size := arenaBChunk
-		if size < n {
-			size = n
-		}
-		a.bs = make([]bool, size)
-		a.bytes += int64(size) * int64(unsafe.Sizeof(a.bs[0]))
-	}
-	b := a.bs[:n:n]
-	a.bs = a.bs[n:]
+	b := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
 	return b
 }
 
@@ -248,29 +203,23 @@ type pinVals struct {
 	ok   []bool
 }
 
-// engPin caches the arcs of one output pin plus the resolved output and
-// input nets of its instance; pin-to-net wiring only changes through
-// Connect/Drive (which drop the cell from the cache). For
-// combinational cells the slots align with spec.Inputs; sequential cells
-// keep a single clock-arc slot. cur describes engCell.spec, alt the
-// displaced engCell.altSpec; a revert resize swaps them back with both
-// value caches still warm.
+// engPin caches the arcs of one output pin (position-aligned with
+// inst.Out). For combinational cells the slots align with spec.Inputs
+// (and so with inst.In); sequential cells keep a single clock-arc slot.
+// cur describes engCell.spec, alt the displaced engCell.altSpec; a revert
+// resize swaps them back with both value caches still warm.
 type engPin struct {
-	name     string
-	out      *netlist.Net
-	ins      []*netlist.Net
 	cur, alt pinVals
 }
 
 // eval interpolates arc i at (load, slew), serving bitwise-matching
-// repeats from the cache. Mirrors evalArc exactly on a miss.
+// repeats from the cache.
 func (p *engPin) eval(i int, arc *liberty.TimingArc, load, slew float64) (float64, float64) {
 	v := &p.cur
 	if v.ok[i] && v.load[i] == load && v.slew[i] == slew {
 		return v.d[i], v.tr[i]
 	}
-	d := math.Max(arc.CellRise.Lookup(load, slew), arc.CellFall.Lookup(load, slew))
-	tr := math.Max(arc.RiseTransition.Lookup(load, slew), arc.FallTransition.Lookup(load, slew))
+	d, tr := arc.Eval(load, slew)
 	v.ok[i], v.load[i], v.slew[i], v.d[i], v.tr[i] = true, load, slew, d, tr
 	return d, tr
 }
@@ -347,9 +296,10 @@ func (e *Engine) OnResize(inst *netlist.Instance, from, to *stdcell.Spec) {
 	}
 }
 
+// OnConnect and OnDrive only mark dirt: the engine caches no wiring, and
+// the arc value caches validate themselves by (load, slew).
 func (e *Engine) OnConnect(inst *netlist.Instance, pin string, old, n *netlist.Net) {
 	e.markInst(inst)
-	e.dropCell(inst)
 	if old != nil {
 		e.markLoad(old)
 	}
@@ -358,16 +308,7 @@ func (e *Engine) OnConnect(inst *netlist.Instance, pin string, old, n *netlist.N
 
 func (e *Engine) OnDrive(inst *netlist.Instance, pin string, n *netlist.Net) {
 	e.markInst(inst)
-	e.dropCell(inst)
 	e.markLoad(n)
-}
-
-// dropCell discards the cached arc/net resolution of an instance whose
-// pin-to-net wiring changed; cellFor rebuilds it on next touch.
-func (e *Engine) dropCell(inst *netlist.Instance) {
-	if inst.ID < len(e.cells) {
-		e.cells[inst.ID] = engCell{}
-	}
 }
 
 func (e *Engine) OnNewNet(n *netlist.Net) { e.markLoad(n) }
@@ -463,13 +404,8 @@ func (e *Engine) update() (full bool, err error) {
 	e.ensureSizes()
 	full = !e.haveState
 	if !full {
-		threshold := int(e.fullFrac() * float64(len(e.nl.Instances)))
-		if threshold < minFullThreshold {
-			threshold = minFullThreshold
-		}
-		if len(e.dirtyInst)+len(e.dirtyLoad) > threshold {
-			full = true
-		}
+		threshold := max(int(fullFrac*float64(len(e.nl.Instances))), minFullThreshold)
+		full = len(e.dirtyInst)+len(e.dirtyLoad) > threshold
 	}
 	e.changed = e.changed[:0]
 	e.changedAll = full
@@ -603,13 +539,6 @@ func (e *Engine) verifySnapshot(got *Result, wasFull bool) error {
 	return nil
 }
 
-func (e *Engine) fullFrac() float64 {
-	if e.FullFrac > 0 {
-		return e.FullFrac
-	}
-	return defaultFullFrac
-}
-
 // ensureSizes grows the per-net arrays and the per-instance cell cache
 // to the current netlist extent.
 func (e *Engine) ensureSizes() {
@@ -678,15 +607,12 @@ func specSlots(spec *stdcell.Spec) int {
 // ensureVals makes v hold exactly slots cold cache entries, reusing the
 // existing backing when it is large enough.
 func (e *Engine) ensureVals(v *pinVals, slots int) {
-	if cap(v.load) < slots {
-		v.load = e.arena.carveF64(slots)
-		v.slew = e.arena.carveF64(slots)
-		v.d = e.arena.carveF64(slots)
-		v.tr = e.arena.carveF64(slots)
-		v.ok = e.arena.carveBools(slots)
-		for i := range v.ok {
-			v.ok[i] = false
-		}
+	if a := &e.arena; cap(v.load) < slots {
+		v.load = carve(&a.f64, slots, arenaF64Chunk, &a.bytes)
+		v.slew = carve(&a.f64, slots, arenaF64Chunk, &a.bytes)
+		v.d = carve(&a.f64, slots, arenaF64Chunk, &a.bytes)
+		v.tr = carve(&a.f64, slots, arenaF64Chunk, &a.bytes)
+		v.ok = carve(&a.bs, slots, arenaBChunk, &a.bytes)
 		return
 	}
 	v.load = v.load[:slots]
@@ -699,38 +625,18 @@ func (e *Engine) ensureVals(v *pinVals, slots int) {
 	}
 }
 
-// wire resolves the pin-to-net wiring of output pin pi for the given
-// spec from the instance's pin slices; evaluation reads the resolved
-// copy.
-func (e *Engine) wire(p *engPin, inst *netlist.Instance, spec *stdcell.Spec, pi int) {
-	p.name = spec.Outputs[pi]
-	p.out = inst.Out[pi]
-	slots := specSlots(spec)
-	if cap(p.ins) < slots {
-		p.ins = e.arena.carveNets(slots)
-	} else {
-		p.ins = p.ins[:slots]
-	}
-	if spec.IsSequential() {
-		p.ins[0] = nil
-		return
-	}
-	copy(p.ins, inst.In)
-}
-
 // buildCell resolves an instance's cell from scratch into c. This runs
-// once per instance (and after wiring edits); resizes go through
-// retarget and reuse everything built here.
+// once per instance; resizes go through retarget and reuse everything
+// built here.
 func (e *Engine) buildCell(c *engCell, inst *netlist.Instance) {
 	spec := inst.Spec
 	arcs := e.nl.Cat.TimingArcs(spec)
 	slots := specSlots(spec)
 	c.spec = spec
 	c.altSpec = nil
-	c.pins = e.arena.carvePins(len(spec.Outputs))
+	c.pins = carve(&e.arena.pins, len(spec.Outputs), arenaPinChunk, &e.arena.bytes)
 	for pi := range c.pins {
 		p := &c.pins[pi]
-		e.wire(p, inst, spec, pi)
 		p.cur.arcs = arcs[pi]
 		e.ensureVals(&p.cur, slots)
 	}
@@ -740,8 +646,8 @@ func (e *Engine) buildCell(c *engCell, inst *netlist.Instance) {
 // allocating. The common resize ping-pong (probe B, revert to A) swaps
 // the cur/alt value caches, keeping both generations warm; any other
 // transition evicts the alt slot in place with fresh arcs from the
-// catalogue cache. The wiring stays: netlist.Resize only swaps between
-// specs with the same pin lists, so every pin keeps its position.
+// catalogue cache. netlist.Resize only swaps between specs with the same
+// pin lists, so every slot keeps its position.
 func (e *Engine) retarget(c *engCell, inst *netlist.Instance) {
 	spec := inst.Spec
 	swap := c.altSpec == spec
@@ -783,9 +689,8 @@ func (e *Engine) evalInst(inst *netlist.Instance) bool {
 	cc := e.cellFor(inst)
 	changed := false
 	if inst.Spec.IsSequential() {
-		for pi := range cc.pins {
+		for pi, out := range inst.Out {
 			p := &cc.pins[pi]
-			out := p.out
 			if out == nil {
 				continue
 			}
@@ -800,9 +705,8 @@ func (e *Engine) evalInst(inst *netlist.Instance) bool {
 		}
 		return changed
 	}
-	for pi := range cc.pins {
+	for pi, out := range inst.Out {
 		p := &cc.pins[pi]
-		out := p.out
 		if out == nil {
 			continue
 		}
@@ -810,7 +714,7 @@ func (e *Engine) evalInst(inst *netlist.Instance) bool {
 		worstSlew := 0.0
 		worstPin := ""
 		for i, in := range inst.Spec.Inputs {
-			inNet := p.ins[i]
+			inNet := inst.In[i]
 			if inNet == nil {
 				continue
 			}
@@ -918,9 +822,7 @@ func (e *Engine) runIncremental(order []*netlist.Instance) (cone int, changed bo
 				continue
 			}
 			changed = true
-			cc := &e.cells[inst.ID] // populated by evalInst's cellFor
-			for pi := range cc.pins {
-				out := cc.pins[pi].out
+			for _, out := range inst.Out {
 				if out == nil {
 					continue
 				}

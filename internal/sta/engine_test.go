@@ -197,9 +197,9 @@ func TestEngineIncrementalPathTaken(t *testing.T) {
 	cfg := DefaultConfig(2)
 	e := NewEngine(nl, cfg)
 	defer e.Close()
-	// Tiny netlists sit under minFullThreshold; lower the bar by raising
-	// FullFrac so single-instance dirt still goes incremental.
-	e.FullFrac = 1
+	// The fallback threshold never drops below minFullThreshold, so on a
+	// netlist this small one resize's dirt (the instance and its nets)
+	// always stays incremental.
 	if _, err := e.Analyze(); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,8 @@ func TestEngineFullFallback(t *testing.T) {
 	cfg := DefaultConfig(2)
 	e := NewEngine(nl, cfg)
 	defer e.Close()
-	e.FullFrac = 1e-9 // threshold floors at minFullThreshold... so dirty everything
+	// Resizing every instance dirties all 50 of them plus their nets,
+	// well past minFullThreshold.
 	if _, err := e.Analyze(); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +420,7 @@ func TestEngineUpdateMatchesAnalyze(t *testing.T) {
 					from := inst.Spec
 					resize(inst, randSpec(inst))
 					resize(inst, from)
-				case 5: // resize most of the design: past FullFrac
+				case 5: // resize most of the design: past the full-pass threshold
 					for _, inst := range nl.Instances {
 						if rng.Intn(4) != 0 {
 							resize(inst, randSpec(inst))

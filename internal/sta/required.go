@@ -83,9 +83,8 @@ func (r *Result) computeRequired() {
 			// the per-arc cache whenever the forward pass (or an earlier
 			// backward pass) already evaluated this operating point.
 			cc := r.eng.cellFor(inst)
-			for pi := range cc.pins {
+			for pi, out := range inst.Out {
 				p := &cc.pins[pi]
-				out := p.out
 				if out == nil {
 					continue
 				}
@@ -94,7 +93,7 @@ func (r *Result) computeRequired() {
 					continue
 				}
 				for ai := range inst.Spec.Inputs {
-					inNet := p.ins[ai]
+					inNet := inst.In[ai]
 					if inNet == nil {
 						continue
 					}
@@ -128,7 +127,7 @@ func (r *Result) computeRequired() {
 				if arc == nil {
 					continue
 				}
-				d, _ := evalArc(arc, r.Load[out.ID], r.Slew[inNet.ID])
+				d, _ := arc.Eval(r.Load[out.ID], r.Slew[inNet.ID])
 				if lim := ro - d; lim < req[inNet.ID] {
 					req[inNet.ID] = lim
 				}

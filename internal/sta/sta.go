@@ -207,7 +207,7 @@ func Analyze(nl *netlist.Netlist, cfg Config) (*Result, error) {
 				if arc == nil {
 					continue
 				}
-				d, tr := evalArc(arc, r.Load[out.ID], cfg.InputSlew)
+				d, tr := arc.Eval(r.Load[out.ID], cfg.InputSlew)
 				r.Arrival[out.ID] = d
 				r.Slew[out.ID] = tr
 				r.fromPin[out.ID] = inst.Spec.Clock
@@ -231,7 +231,7 @@ func Analyze(nl *netlist.Netlist, cfg Config) (*Result, error) {
 				if arc == nil {
 					continue
 				}
-				d, tr := evalArc(arc, r.Load[out.ID], r.Slew[inNet.ID])
+				d, tr := arc.Eval(r.Load[out.ID], r.Slew[inNet.ID])
 				a := r.Arrival[inNet.ID] + d
 				if a > worst {
 					worst = a
@@ -297,14 +297,6 @@ func (r *Result) arcOf(inst *netlist.Instance, outPin, inPin string) *liberty.Ti
 		}
 	}
 	return nil
-}
-
-// evalArc interpolates the worst-case delay and transition of an arc at
-// an operating point.
-func evalArc(arc *liberty.TimingArc, load, slew float64) (delay, trans float64) {
-	delay = math.Max(arc.CellRise.Lookup(load, slew), arc.CellFall.Lookup(load, slew))
-	trans = math.Max(arc.RiseTransition.Lookup(load, slew), arc.FallTransition.Lookup(load, slew))
-	return delay, trans
 }
 
 // PathStep is one cell traversal on a timing path.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"stdcelltune/internal/liberty"
 	"stdcelltune/internal/logic"
 	"stdcelltune/internal/netlist"
 	"stdcelltune/internal/obs"
@@ -576,19 +575,13 @@ func (o *optimizer) resizeDelayDelta(r *sta.Result, inst *netlist.Instance, n *n
 		if inNet != nil && inNet.ID < len(r.Slew) {
 			slew = r.Slew[inNet.ID]
 		}
-		dOld, _ := evalArcDelay(arc, r.Load[n.ID], slew)
-		dNew, _ := evalArcDelay(np.Timing[i], r.Load[n.ID], slew)
+		dOld, _ := arc.Eval(r.Load[n.ID], slew)
+		dNew, _ := np.Timing[i].Eval(r.Load[n.ID], slew)
 		if d := dNew - dOld; d > worst {
 			worst = d
 		}
 	}
 	return worst
-}
-
-func evalArcDelay(arc *liberty.TimingArc, load, slew float64) (float64, float64) {
-	d := math.Max(arc.CellRise.Lookup(load, slew), arc.CellFall.Lookup(load, slew))
-	tr := math.Max(arc.RiseTransition.Lookup(load, slew), arc.FallTransition.Lookup(load, slew))
-	return d, tr
 }
 
 // tryBatch applies a downsize batch; if the result breaks timing or
