@@ -34,9 +34,10 @@ test:
 # GOMAXPROCS=1 (a proxy counter that parallel code also bumps) fails here.
 # Tier-1 includes cmd/stcd's TestEndToEnd, which drives real stcd
 # processes through the serve, crash-recovery, query, load and cluster
-# scenarios.
+# scenarios. Go's test cache does not key on GOMAXPROCS, so -count=1
+# keeps an earlier plain run from answering for this one.
 test-procs2:
-	GOMAXPROCS=2 $(GO) test ./...
+	GOMAXPROCS=2 $(GO) test -count=1 ./...
 
 # The engine's own edit-sequence tests and fuzz seeds, plus the packages
 # whose engines live longest, with every engine Analyze and Update

@@ -125,6 +125,24 @@ type TimingArc struct {
 	SigmaFall *lut.Table
 
 	Template string // name of the lu_table_template the tables use
+
+	// shared records that the four delay/transition tables share one
+	// (load, slew) grid, so Eval brackets a query once for all four.
+	// Prepare sets it; while it is false Eval looks each table up on its
+	// own, which is always right.
+	shared bool
+}
+
+// Prepare works out once what Eval would otherwise re-derive on every
+// call: whether the arc's four delay and transition tables share their
+// axes. Builders call it after setting the last table and before the
+// arc is shared. An arc never prepared evaluates through four
+// independent lookups; one whose tables change afterwards must be
+// prepared again.
+func (a *TimingArc) Prepare() {
+	a.shared = a.CellRise != nil && a.CellFall != nil && a.RiseTransition != nil && a.FallTransition != nil &&
+		lut.SameAxes(a.CellRise, a.CellFall) && lut.SameAxes(a.CellRise, a.RiseTransition) &&
+		lut.SameAxes(a.CellRise, a.FallTransition)
 }
 
 // IsConstraint reports whether the arc is a timing check (setup/hold)
@@ -138,8 +156,16 @@ func (a *TimingArc) IsConstraint() bool {
 // Eval interpolates the arc at an operating point (load in pF, input slew
 // in ns) and returns the worse of the rise and fall delays and the worse
 // of the rise and fall transitions: the max-delay view every setup
-// analysis takes of an arc.
+// analysis takes of an arc. A prepared arc whose tables share one grid
+// locates the query point once and interpolates all four tables from
+// it, bit-identical to four lookups.
 func (a *TimingArc) Eval(load, slew float64) (delay, trans float64) {
+	if a.shared {
+		p := a.CellRise.Locate(load, slew)
+		delay = math.Max(a.CellRise.Interp(p), a.CellFall.Interp(p))
+		trans = math.Max(a.RiseTransition.Interp(p), a.FallTransition.Interp(p))
+		return delay, trans
+	}
 	delay = math.Max(a.CellRise.Lookup(load, slew), a.CellFall.Lookup(load, slew))
 	trans = math.Max(a.RiseTransition.Lookup(load, slew), a.FallTransition.Lookup(load, slew))
 	return delay, trans

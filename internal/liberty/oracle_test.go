@@ -493,6 +493,7 @@ func oInterpretArc(g *oGroup) (*TimingArc, error) {
 			a.SigmaFall = tb
 		}
 	}
+	a.Prepare()
 	return a, nil
 }
 

@@ -592,6 +592,7 @@ func (p *parser) arc() (*TimingArc, error) {
 		}
 		switch k {
 		case stmtEnd:
+			a.Prepare()
 			return a, nil
 		case stmtGroup:
 			template := firstArg(p.vals)

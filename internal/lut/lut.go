@@ -37,7 +37,7 @@ type Table struct {
 	flat   []float64
 	stride int
 
-	// seg memoizes the last (load, slew) segment pair a Lookup resolved,
+	// seg memoizes the last (load, slew) segment pair a Locate resolved,
 	// packed as two uint32 indices. Queries along a timing path land in
 	// the same segment almost every time, so validating the hint replaces
 	// two binary searches with two comparisons. The hint is only trusted
@@ -154,8 +154,9 @@ var (
 func SetHintStatsEnabled(on bool) { hintStatsOn.Store(on) }
 
 // HintStats returns the cumulative hint hits and misses counted while
-// enabled. A "hit" is a Lookup whose resolved (load, slew) segment pair
-// equals the memoized hint, i.e. both binary searches were skipped.
+// enabled. A "hit" is a Locate (every Lookup runs one) whose resolved
+// (load, slew) segment pair equals the memoized hint, i.e. both binary
+// searches were skipped.
 func HintStats() (hits, misses int64) { return hintHits.Load(), hintMisses.Load() }
 
 // HintHitRatio returns hits/(hits+misses), or -1 before any counted
@@ -215,16 +216,30 @@ func segmentHint(axis []float64, x float64, hint int) (int, float64) {
 // point is undefined, so no table entry can be the right answer);
 // ±Inf queries clamp to the table edge like any other out-of-range
 // value. Lookup is safe for concurrent use.
-func (t *Table) Lookup(load, slew float64) float64 {
+func (t *Table) Lookup(load, slew float64) float64 { return t.Interp(t.Locate(load, slew)) }
+
+// Point is a (load, slew) query located on a pair of axes: the segment
+// each coordinate falls in and its position within it. Every table over
+// the same axes interpolates a Point exactly as its own Lookup would, so
+// tables that share a grid pay for one bracket between them.
+type Point struct {
+	li, sj int
+	lf, sf float64
+	nan    bool // load or slew is NaN: every table reads NaN
+}
+
+// Locate brackets (load, slew) on the table's axes, through and into
+// the table's segment hint. It is safe for concurrent use.
+func (t *Table) Locate(load, slew float64) Point {
 	if math.IsNaN(load) || math.IsNaN(slew) {
-		return math.NaN()
+		return Point{nan: true}
 	}
 	hint := t.seg.Load()
 	li, lf := segmentHint(t.Loads, load, int(uint32(hint>>32)))
 	sj, sf := segmentHint(t.Slews, slew, int(uint32(hint)))
 	// Stat counting hides inside the branch the hint logic already
 	// takes, so the disabled fast path pays one predictable load per
-	// arm and nothing new in the interpolation below.
+	// arm and nothing new in the interpolation.
 	if packed := uint64(uint32(li))<<32 | uint64(uint32(sj)); packed != hint {
 		t.seg.Store(packed)
 		if hintStatsOn.Load() {
@@ -233,6 +248,16 @@ func (t *Table) Lookup(load, slew float64) float64 {
 	} else if hintStatsOn.Load() {
 		hintHits.Add(1)
 	}
+	return Point{li: li, sj: sj, lf: lf, sf: sf}
+}
+
+// Interp interpolates the table at a Point located on the same axes
+// (SameAxes); a Point from other axes reads the wrong cells.
+func (t *Table) Interp(p Point) float64 {
+	if p.nan {
+		return math.NaN()
+	}
+	li, sj, lf, sf := p.li, p.sj, p.lf, p.sf
 	if len(t.Loads) == 1 && len(t.Slews) == 1 {
 		return t.at(0, 0)
 	}

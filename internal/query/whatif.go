@@ -201,15 +201,16 @@ func (s *Store) widen(factor float64, probed func(*widening)) (*WhatIfResult, er
 	nl, eng := ss.nl, ss.eng
 	cat := nl.Cat
 	w := &widening{
-		nl:   nl,
-		eng:  eng,
-		lim:  restrict.Resolve(widenSet(s.windows, factor), cat),
-		viol: make([]uint8, nl.NetExtent()),
+		nl:     nl,
+		eng:    eng,
+		lim:    restrict.Resolve(widenSet(s.windows, factor), cat),
+		viol:   make([]uint8, nl.NetExtent()),
+		minWNS: math.Min(0, eng.WNS()) - 1e-9,
+		late:   make([]int32, nl.NetExtent()),
 	}
 	for _, n := range nl.Nets {
 		w.recheck(n)
 	}
-	minWNS := math.Min(0, eng.WNS()) - 1e-9
 
 	res := &WhatIfResult{
 		Schema:  SchemaWhatIf,
@@ -241,7 +242,7 @@ func (s *Store) widen(factor float64, probed func(*widening)) (*WhatIfResult, er
 		if probed != nil {
 			probed(w)
 		}
-		if eng.WNS() >= minWNS && w.violations == 0 {
+		if w.nlate == 0 && w.violations == 0 {
 			res.Changed++
 			if len(res.Changes) < maxReportedChanges {
 				res.Changes = append(res.Changes, Change{Inst: inst.Name, From: prev.Name, To: down.Name})
@@ -267,9 +268,10 @@ func (s *Store) widen(factor float64, probed func(*widening)) (*WhatIfResult, er
 	return res, nil
 }
 
-// widening is the legality state of one widen pass: a per-net count of
-// violations against the widened windows, kept current by rechecking
-// only the nets a probe can have moved.
+// widening is the acceptance state of one widen pass: per-net counts of
+// violations against the widened windows and of endpoints whose slack
+// is below minWNS, both kept current by rechecking only the nets a probe
+// can have moved.
 type widening struct {
 	nl  *netlist.Netlist
 	eng *sta.Engine
@@ -278,9 +280,20 @@ type widening struct {
 	viol       []uint8 // per net ID: load and slew violations, 0..2
 	violations int     // sum of viol
 
+	// late counts, per net ID, the endpoints on the net whose slack is
+	// below minWNS; nlate is its sum. nlate == 0 is exactly
+	// eng.WNS() >= minWNS: WNS is the least slack that compares below
+	// +Inf, so a NaN slack is neither the minimum nor late, and a design
+	// whose every slack is NaN or +Inf reads WNS 0, above minWNS < 0.
+	minWNS float64
+	late   []int32
+	nlate  int
+
 	// touched holds the nets of the instances resized since the last
 	// update: their limits follow the driver (load) and sink (slew)
-	// specs, so they need a recheck even where their values held.
+	// specs, and a resized flop's setup time moves the slack of the
+	// endpoint on its D net, so they need a recheck even where their
+	// values held.
 	touched []*netlist.Net
 }
 
@@ -302,7 +315,8 @@ func (w *widening) resize(inst *netlist.Instance, to *stdcell.Spec) error {
 }
 
 // update brings the engine current and rechecks the nets it changed
-// plus the touched ones; after a full pass, every net.
+// plus the touched ones; after a full pass, every net (and so every
+// endpoint).
 func (w *widening) update() error {
 	if err := w.eng.Update(); err != nil {
 		return err
@@ -324,10 +338,19 @@ func (w *widening) update() error {
 	return nil
 }
 
-// recheck recounts one net's violations: the driver's load limit, and
-// the tightest input-slew limit of any cell the net feeds — the same
-// legality the synthesizer enforces, under the widened windows.
+// recheck recounts one net's violations — the driver's load limit, and
+// the tightest input-slew limit of any cell the net feeds: the same
+// legality the synthesizer enforces, under the widened windows — and
+// the endpoints on it with slack below minWNS.
 func (w *widening) recheck(n *netlist.Net) {
+	var late int32
+	for _, i := range w.eng.NetEndpoints(n.ID) {
+		if w.eng.EndpointSlack(int(i)) < w.minWNS {
+			late++
+		}
+	}
+	w.nlate += int(late - w.late[n.ID])
+	w.late[n.ID] = late
 	var v uint8
 	if n.Driver != nil && w.eng.Load(n.ID) > w.lim.Pin(n.Driver.Spec, n.DrvPin).Load+1e-12 {
 		v++

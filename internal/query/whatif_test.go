@@ -88,10 +88,13 @@ func crcStore(t *testing.T, clock float64) *Store {
 
 // TestWidenTrackedLegalityMatchesScan checks the per-net violation count
 // and the engine's WNS, as read on every widen probe, against a full
-// legality scan over a fresh analysis.
+// legality scan over a fresh analysis, and the count of endpoints below
+// minWNS against that WNS. The fixtures include a flop downsize whose
+// only effect is a longer setup time: that probe must be seen and
+// rejected.
 func TestWidenTrackedLegalityMatchesScan(t *testing.T) {
-	stores := map[string]*Store{"test": testStore(t), "crc@0.8": crcStore(t, 0.8), "crc@1.0": crcStore(t, 1.0)}
-	probes, rejected := 0, 0
+	stores := map[string]*Store{"test": testStore(t), "crc@0.8": crcStore(t, 0.8), "crc@1.0": crcStore(t, 1.0), "setup": setupStore(t)}
+	probes, rejected, flopProbes := 0, 0, 0
 	for name, s := range stores {
 		for _, f := range []float64{0.8, 1.2, 2} {
 			set := widenSet(s.windows, f)
@@ -107,15 +110,28 @@ func TestWidenTrackedLegalityMatchesScan(t *testing.T) {
 				if g, want := w.eng.WNS(), r.WNS(); math.Float64bits(g) != math.Float64bits(want) {
 					t.Fatalf("%s widen %v probe %d: WNS %v want %v", name, f, probes, g, want)
 				}
+				if met := r.WNS() >= w.minWNS; (w.nlate == 0) != met {
+					t.Fatalf("%s widen %v probe %d: %d endpoints below minWNS %v, but WNS %v", name, f, probes, w.nlate, w.minWNS, r.WNS())
+				}
+				for _, inst := range w.nl.Instances {
+					if inst.Name == "ff" && inst.Spec.Name == "DFQ_1" {
+						flopProbes++
+					}
+				}
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			rejected += wr.IncrementalUpdates - wr.Changed
+			for _, c := range wr.Changes {
+				if name == "setup" && c.Inst == "ff" {
+					t.Fatalf("%s widen %v accepted the flop downsize %s -> %s", name, f, c.From, c.To)
+				}
+			}
 		}
 	}
-	if probes == 0 || rejected == 0 {
-		t.Fatalf("probes %d, rejected %d: the fixtures must exercise both outcomes", probes, rejected)
+	if probes == 0 || rejected == 0 || flopProbes == 0 {
+		t.Fatalf("probes %d, rejected %d, flop downsizes %d: the fixtures must exercise both outcomes and a flop", probes, rejected, flopProbes)
 	}
 }
 
@@ -156,4 +172,44 @@ func TestWhatIfResponsesPinned(t *testing.T) {
 			t.Errorf("%s: response sha256 %s want %s", c.name, c.got, c.want)
 		}
 	}
+}
+
+// setupStore is a design whose widen pass probes a flop downsize that
+// moves no net value at all: on a private catalogue the DFQ flops load
+// their D net with nothing, and the smaller drive has the longer setup.
+// The downsize changes only the slack of the endpoint on the flop's D
+// net, which no changed net reports.
+func setupStore(t *testing.T) *Store {
+	t.Helper()
+	_, sl := env(t)
+	c := stdcell.NewCatalogue(stdcell.Typical)
+	for _, spec := range c.SizesOf("DFQ_1") {
+		spec.Params.CinPerDrive = 0
+		spec.Params.Setup = 1 / float64(spec.Drive)
+	}
+	nl := netlist.New("setup", c)
+	cur := nl.AddInput("a")
+	for i := 0; i < 4; i++ {
+		inv := nl.AddInstance("", c.Spec("INV_4"))
+		nl.Connect(inv, "A", cur)
+		cur = nl.AddNet("")
+		nl.Drive(inv, "Y", cur)
+	}
+	ff := nl.AddInstance("ff", c.Spec("DFQ_2"))
+	nl.Connect(ff, "D", cur)
+	q := nl.AddNet("")
+	nl.Drive(ff, "Q", q)
+	nl.MarkOutput("q", q)
+	set := restrict.NewSet("loose")
+	for _, name := range c.CellNames() {
+		spec := c.Spec(name)
+		for _, pin := range spec.Outputs {
+			set.Put(name, pin, restrict.Window{MaxLoad: 10 * spec.MaxCap(), MaxSlew: 10})
+		}
+	}
+	s, err := Build(Source{Library: "sha256:setup", Stat: sl, Windows: set, Netlist: nl, STA: sta.DefaultConfig(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

@@ -138,13 +138,13 @@ type Limit struct {
 }
 
 // Table is a Set resolved once against a catalogue: every spec's
-// per-output-pin limits, looked up by spec pointer, so a legality check
-// builds no "cell/pin" key. Immutable; safe for concurrent use. A nil
-// Set resolves to the fallbacks alone.
+// per-output-pin limits, indexed by Spec.Index, so a legality check
+// builds no "cell/pin" key and hashes nothing. Immutable; safe for
+// concurrent use. A nil Set resolves to the fallbacks alone.
 type Table struct {
 	set   *Set
 	cat   *stdcell.Catalogue
-	specs map[*stdcell.Spec]specLimits
+	specs []specLimits // by Spec.Index
 }
 
 // specLimits is one spec's resolution: pins aligned with Spec.Outputs,
@@ -158,7 +158,7 @@ type specLimits struct {
 // Resolve builds the limit table of a set over every spec of the
 // catalogue.
 func Resolve(s *Set, cat *stdcell.Catalogue) *Table {
-	t := &Table{set: s, cat: cat, specs: make(map[*stdcell.Spec]specLimits, len(cat.Specs))}
+	t := &Table{set: s, cat: cat, specs: make([]specLimits, len(cat.Specs))}
 	n := 0
 	for _, spec := range cat.Specs {
 		n += len(spec.Outputs)
@@ -166,7 +166,7 @@ func Resolve(s *Set, cat *stdcell.Catalogue) *Table {
 	flat := make([]Limit, n)
 	for _, spec := range cat.Specs {
 		k := len(spec.Outputs)
-		t.specs[spec] = t.resolve(spec, flat[:k:k])
+		t.specs[spec.Index] = t.resolve(spec, flat[:k:k])
 		flat = flat[k:]
 	}
 	return t
@@ -193,8 +193,8 @@ func (t *Table) resolve(spec *stdcell.Spec, pins []Limit) specLimits {
 // of returns a spec's resolution; a spec outside the catalogue is
 // resolved on the fly (and not stored, keeping the table immutable).
 func (t *Table) of(spec *stdcell.Spec) specLimits {
-	if l, ok := t.specs[spec]; ok {
-		return l
+	if t.cat.Owns(spec) {
+		return t.specs[spec.Index]
 	}
 	return t.resolve(spec, make([]Limit, len(spec.Outputs)))
 }

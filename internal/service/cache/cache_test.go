@@ -240,11 +240,15 @@ func TestWaiterCancellation(t *testing.T) {
 	s, _ := New("")
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go s.GetOrCompute(context.Background(), "sha256:w", func(context.Context) (map[string][]byte, error) {
-		close(started)
-		<-release
-		return blobs("late"), nil
-	})
+	computed := make(chan error, 1)
+	go func() {
+		_, _, err := s.GetOrCompute(context.Background(), "sha256:w", func(context.Context) (map[string][]byte, error) {
+			close(started)
+			<-release
+			return blobs("late"), nil
+		})
+		computed <- err
+	}()
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -253,6 +257,11 @@ func TestWaiterCancellation(t *testing.T) {
 		t.Fatalf("cancelled waiter got %v", err)
 	}
 	close(release)
+	// The computing caller installs its entry into the process-wide
+	// residency gauge; wait for it so no later test sees it land.
+	if err := <-computed; err != nil {
+		t.Fatalf("computing caller got %v", err)
+	}
 }
 
 // TestCorruptEntryDroppedAndCounted: entries whose on-disk bytes rot are

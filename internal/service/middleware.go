@@ -128,5 +128,8 @@ func instrument(route string, next http.HandlerFunc) http.HandlerFunc {
 			httpRequests.With(route, statusClass(sw.status)).Add(1)
 		}()
 		next(sw, r)
+		// Push the buffered response onto the wire inside the timer, so
+		// the route's latency covers writing it, not just building it.
+		sw.Flush()
 	}
 }

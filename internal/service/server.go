@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"stdcelltune"
@@ -569,6 +571,7 @@ func serveArtifact(w http.ResponseWriter, name, sha string, data []byte) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	}
 	w.Header().Set("X-Content-SHA256", sha)
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 
@@ -768,12 +771,37 @@ func serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	}
 }
 
+// jsonBuf is a response body buffer with its indenting encoder.
+// writeJSON encodes a whole body before writing it, so the response
+// carries a Content-Length, and pools the pair so that costs no
+// allocation per response.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+// maxPooledJSON bounds the buffer a pooled jsonBuf may keep, so one
+// large response does not pin its size in every pool slot.
+const maxPooledJSON = 1 << 20
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b := jsonBufs.Get().(*jsonBuf)
+	b.buf.Reset()
+	b.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(b.buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(b.buf.Bytes())
+	if b.buf.Cap() <= maxPooledJSON {
+		jsonBufs.Put(b)
+	}
 }
 
 // setRetryAfter adds the Retry-After header when the error carries a

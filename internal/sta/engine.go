@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -95,9 +96,10 @@ type Engine struct {
 	cells []engCell
 	arena engArena
 
-	// Dirty frontier accumulated from journal notifications.
-	dirtyInst map[int]*netlist.Instance
-	dirtyLoad map[int]*netlist.Net
+	// Dirty frontier accumulated from journal notifications: instance
+	// and net IDs, each set once.
+	dirtyInst idSet
+	dirtyLoad idSet
 
 	haveState bool    // arrays describe the netlist as of the last update
 	last      *Result // snapshot matching the arrays; nil while dirt is pending or after Update
@@ -125,6 +127,14 @@ type Engine struct {
 	epGen    uint64
 	epRefsOK bool
 
+	// epByNet indexes the endpoint skeleton by net, CSR-style: the
+	// endpoints on net n are epByNet.idx[epByNet.start[n]:start[n+1]].
+	// Built on first use by NetEndpoints, dropped with the skeleton.
+	epByNet struct {
+		start, idx []int32
+		ok         bool
+	}
+
 	fullCount int
 	incCount  int
 
@@ -133,6 +143,34 @@ type Engine struct {
 	changed    []int
 	changedAll bool
 }
+
+// idSet is a set of small non-negative IDs: the members in insertion
+// order plus a membership bitmap. Adding is O(1), and clearing costs
+// the members, not the ID range.
+type idSet struct {
+	ids  []int
+	bits []uint64
+}
+
+func (s *idSet) add(id int) {
+	w := id >> 6
+	for len(s.bits) <= w {
+		s.bits = append(s.bits, 0)
+	}
+	if m := uint64(1) << (id & 63); s.bits[w]&m == 0 {
+		s.bits[w] |= m
+		s.ids = append(s.ids, id)
+	}
+}
+
+func (s *idSet) clear() {
+	for _, id := range s.ids {
+		s.bits[id>>6] = 0
+	}
+	s.ids = s.ids[:0]
+}
+
+func (s *idSet) bytes() int64 { return int64(cap(s.ids)+cap(s.bits)) * 8 }
 
 // engArena carves the small fixed-size slices every engine cell needs
 // (pin slots and value caches) out of large chunks, so building or
@@ -228,12 +266,7 @@ func (p *engPin) eval(i int, arc *liberty.TimingArc, load, slew float64) (float6
 // observing its edit journal. The first Analyze runs a full propagation;
 // call Close when done to detach the observer.
 func NewEngine(nl *netlist.Netlist, cfg Config) *Engine {
-	e := &Engine{
-		nl:        nl,
-		cfg:       cfg,
-		dirtyInst: make(map[int]*netlist.Instance),
-		dirtyLoad: make(map[int]*netlist.Net),
-	}
+	e := &Engine{nl: nl, cfg: cfg}
 	nl.Observe(e)
 	return e
 }
@@ -247,14 +280,16 @@ func (e *Engine) Counts() (full, incremental int) { return e.fullCount, e.incCou
 
 // Bytes estimates the heap the engine holds between analyses: the
 // per-net working arrays, the per-instance cell cache and the arena
-// chunks its slices are carved from, the endpoint skeleton, the
-// worklist, and the snapshots it keeps (last, prev and the free pool).
+// chunks its slices are carved from, the endpoint skeleton and its
+// by-net index, the worklist and dirty sets, and the snapshots it keeps
+// (last, prev and the free pool).
 // It reads capacities, so it grows as retargeting warms the second
 // value-cache generation.
 func (e *Engine) Bytes() int64 {
 	n := int64(cap(e.load)+cap(e.arrival)+cap(e.slew))*8 + int64(cap(e.fromPin))*16 + int64(cap(e.overCap))
 	n += int64(cap(e.cells))*int64(unsafe.Sizeof(engCell{})) + e.arena.bytes
 	n += int64(cap(e.epRefs))*int64(unsafe.Sizeof(epRef{})) + int64(cap(e.queued)+cap(e.changed))*8
+	n += int64(cap(e.epByNet.start)+cap(e.epByNet.idx))*4 + e.dirtyInst.bytes() + e.dirtyLoad.bytes()
 	if e.last != nil {
 		n += e.last.bytes()
 	}
@@ -270,12 +305,12 @@ func (e *Engine) Bytes() int64 {
 // --- netlist.Observer ----------------------------------------------
 
 func (e *Engine) markInst(inst *netlist.Instance) {
-	e.dirtyInst[inst.ID] = inst
+	e.dirtyInst.add(inst.ID)
 	e.last = nil
 }
 
 func (e *Engine) markLoad(n *netlist.Net) {
-	e.dirtyLoad[n.ID] = n
+	e.dirtyLoad.add(n.ID)
 	e.last = nil
 }
 
@@ -390,7 +425,7 @@ func (e *Engine) Update() error {
 }
 
 // pending reports whether edits arrived since the last update.
-func (e *Engine) pending() bool { return len(e.dirtyInst)+len(e.dirtyLoad) > 0 }
+func (e *Engine) pending() bool { return len(e.dirtyInst.ids)+len(e.dirtyLoad.ids) > 0 }
 
 // update runs one full or incremental pass over the working arrays and
 // records which nets it changed. It drops prev whenever the arrays
@@ -405,7 +440,7 @@ func (e *Engine) update() (full bool, err error) {
 	full = !e.haveState
 	if !full {
 		threshold := max(int(fullFrac*float64(len(e.nl.Instances))), minFullThreshold)
-		full = len(e.dirtyInst)+len(e.dirtyLoad) > threshold
+		full = len(e.dirtyInst.ids)+len(e.dirtyLoad.ids) > threshold
 	}
 	e.changed = e.changed[:0]
 	e.changedAll = full
@@ -426,8 +461,8 @@ func (e *Engine) update() (full bool, err error) {
 			e.prev = nil
 		}
 	}
-	clear(e.dirtyInst)
-	clear(e.dirtyLoad)
+	e.dirtyInst.clear()
+	e.dirtyLoad.clear()
 	e.haveState = true
 	e.last = nil
 	return full, nil
@@ -455,6 +490,43 @@ func (e *Engine) WNS() float64 {
 		return 0
 	}
 	return w
+}
+
+// EndpointSlack returns the slack of endpoint i of the working state,
+// i indexing the endpoints in Result.Endpoints order, by the formula
+// WNS takes its minimum over. Like WNS it describes the last update.
+func (e *Engine) EndpointSlack(i int) float64 {
+	return e.slack(e.endpointRefs()[i], e.cfg.ClockPeriod-e.cfg.Uncertainty)
+}
+
+// NetEndpoints returns the indices (as EndpointSlack takes them) of
+// the endpoints whose slack reads the net's arrival. The first call
+// after a topology edit builds the by-net index; the slice is shared
+// and valid until the next topology edit.
+func (e *Engine) NetEndpoints(id int) []int32 {
+	refs := e.endpointRefs()
+	x := &e.epByNet
+	if !x.ok {
+		nNets := e.nl.NetExtent()
+		x.start = make([]int32, nNets+1)
+		for _, ref := range refs {
+			x.start[ref.net.ID+1]++
+		}
+		for n := 0; n < nNets; n++ {
+			x.start[n+1] += x.start[n]
+		}
+		x.idx = make([]int32, len(refs))
+		fill := slices.Clone(x.start[:nNets])
+		for i, ref := range refs {
+			x.idx[fill[ref.net.ID]] = int32(i)
+			fill[ref.net.ID]++
+		}
+		x.ok = true
+	}
+	if id+1 >= len(x.start) {
+		return nil
+	}
+	return x.idx[x.start[id]:x.start[id+1]]
 }
 
 // Load returns the working load of a net (pF), as of the last update.
@@ -774,7 +846,8 @@ func (e *Engine) runIncremental(order []*netlist.Instance) (cone int, changed bo
 	if err != nil {
 		return 0, false, err
 	}
-	for _, n := range e.dirtyLoad {
+	for _, id := range e.dirtyLoad.ids {
+		n := e.nl.Nets[id]
 		lc, oc := e.computeLoad(n)
 		if lc || oc {
 			e.changed = append(e.changed, n.ID)
@@ -786,7 +859,7 @@ func (e *Engine) runIncremental(order []*netlist.Instance) (cone int, changed bo
 			changed = true
 			if n.Driver != nil {
 				// The driver sees a different load; its delays change.
-				e.dirtyInst[n.Driver.ID] = n.Driver
+				e.dirtyInst.add(n.Driver.ID)
 			}
 		}
 	}
@@ -800,7 +873,8 @@ func (e *Engine) runIncremental(order []*netlist.Instance) (cone int, changed bo
 		q[w] |= 1 << (pos & 63)
 		lo, hi = min(lo, w), max(hi, w)
 	}
-	for _, inst := range e.dirtyInst {
+	for _, id := range e.dirtyInst.ids {
+		inst := e.nl.Instances[id]
 		// A resized flop changes its setup time — an endpoint-slack
 		// change no per-net array reflects.
 		if inst.Spec.IsSequential() {
@@ -944,6 +1018,7 @@ func (e *Engine) endpointRefs() []epRef {
 	sort.Slice(e.epRefs, func(i, j int) bool { return e.epRefs[i].name < e.epRefs[j].name })
 	e.epGen = e.nl.TopoGen()
 	e.epRefsOK = true
+	e.epByNet.ok = false
 	return e.epRefs
 }
 
@@ -974,8 +1049,8 @@ func (e *Engine) Rewind(r *Result) error {
 	for _, n := range r.MaxCapViolations {
 		e.overCap[n.ID] = true
 	}
-	clear(e.dirtyInst)
-	clear(e.dirtyLoad)
+	e.dirtyInst.clear()
+	e.dirtyLoad.clear()
 	e.haveState = true
 	e.last = r
 	e.changed, e.changedAll = e.changed[:0], true

@@ -1,48 +1,19 @@
 package stdcell
 
-import (
-	"sync"
-
-	"stdcelltune/internal/liberty"
-)
-
-// arcCache resolves, once per spec, the Liberty timing arcs the timing
-// engines evaluate: per output pin of the spec, one arc slot per data
-// input (or a single clock-arc slot for sequential cells), in the
-// spec's pin order. Specs are immutable after catalogue construction
-// and the catalogue's Liberty view never changes, so the resolution is
-// computed once and shared — including across concurrently running
-// engines, which is why the map is lock-protected.
-type arcCache struct {
-	mu sync.RWMutex
-	m  map[*Spec][][]*liberty.TimingArc
-}
+import "stdcelltune/internal/liberty"
 
 // TimingArcs returns the resolved timing arcs of the spec, indexed
 // [output pin][input slot]. Combinational specs have one slot per entry
 // of spec.Inputs (nil where the library has no such arc); sequential
-// specs have a single clock-arc slot. The returned slices are shared
-// and must be treated as read-only.
+// specs have a single clock-arc slot. The catalogue resolves its own
+// specs once, when it is built, and the timing engines share the
+// result; a spec from elsewhere is resolved on each call. The returned
+// slices must be treated as read-only.
 func (c *Catalogue) TimingArcs(spec *Spec) [][]*liberty.TimingArc {
-	c.arcs.mu.RLock()
-	arcs, ok := c.arcs.m[spec]
-	c.arcs.mu.RUnlock()
-	if ok {
-		return arcs
+	if c.Owns(spec) {
+		return c.arcs[spec.Index]
 	}
-	arcs = c.resolveArcs(spec)
-	c.arcs.mu.Lock()
-	if c.arcs.m == nil {
-		c.arcs.m = make(map[*Spec][][]*liberty.TimingArc)
-	}
-	// A racing resolver computed the identical value; either wins.
-	if prior, ok := c.arcs.m[spec]; ok {
-		arcs = prior
-	} else {
-		c.arcs.m[spec] = arcs
-	}
-	c.arcs.mu.Unlock()
-	return arcs
+	return c.resolveArcs(spec)
 }
 
 func (c *Catalogue) resolveArcs(spec *Spec) [][]*liberty.TimingArc {

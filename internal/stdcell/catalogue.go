@@ -18,6 +18,12 @@ type Spec struct {
 	Drive     int
 	Params    ModelParams
 
+	// Index is the spec's dense position in the catalogue that built it
+	// (0..len(Specs)-1), so per-spec tables can be slices rather than
+	// maps. Check Catalogue.Owns before trusting it: a spec built
+	// elsewhere carries whatever Index it was given.
+	Index int
+
 	Inputs    []string // data input pin names
 	Outputs   []string // output pin names
 	Functions []string // Liberty function per output pin
@@ -171,9 +177,11 @@ type Catalogue struct {
 	// Layout.
 	layout *Layout
 
-	// arcs lazily caches per-spec Liberty arc resolution for the timing
-	// engines; see TimingArcs.
-	arcs arcCache
+	// all lists every spec by Index.
+	all []*Spec
+	// arcs holds each spec's Liberty arc resolution by Index, for the
+	// timing engines; see TimingArcs.
+	arcs [][][]*liberty.TimingArc
 }
 
 // NewCatalogue builds the nominal 304-cell library characterized at the
@@ -200,7 +208,9 @@ func NewCatalogue(corner Corner) *Catalogue {
 				Clock:     def.clock,
 				ResetN:    def.resetN,
 				SetN:      def.setN,
+				Index:     len(c.all),
 			}
+			c.all = append(c.all, s)
 			c.Specs[s.Name] = s
 			c.Families[s.Family] = append(c.Families[s.Family], s)
 			c.ByDrive[k] = append(c.ByDrive[k], s)
@@ -214,7 +224,17 @@ func NewCatalogue(corner Corner) *Catalogue {
 	}
 	c.layout = c.buildLayout()
 	c.Lib = c.buildLiberty()
+	c.arcs = make([][][]*liberty.TimingArc, len(c.all))
+	for i, s := range c.all {
+		c.arcs[i] = c.resolveArcs(s)
+	}
 	return c
+}
+
+// Owns reports whether spec is one of this catalogue's specs, so its
+// Index addresses the catalogue's per-spec tables.
+func (c *Catalogue) Owns(spec *Spec) bool {
+	return spec.Index >= 0 && spec.Index < len(c.all) && c.all[spec.Index] == spec
 }
 
 // Spec returns the spec of the named cell, or nil.

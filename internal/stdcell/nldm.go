@@ -270,6 +270,7 @@ func (c *Catalogue) buildArc(lc LayoutCell, la LayoutArc, perturb Perturb) *libe
 	arc.CellFall = delay.Scale(FallScale)
 	arc.RiseTransition = trans.Clone().Scale(RiseScale)
 	arc.FallTransition = trans.Scale(FallScale)
+	arc.Prepare()
 	return arc
 }
 
