@@ -140,24 +140,38 @@ func ConvolvePathCorrelated(cells []Normal, rho float64) (Normal, error) {
 	if len(cells) == 0 {
 		return Normal{}, ErrNoCells
 	}
+	var m Moments
+	for _, c := range cells {
+		m = m.Add(c)
+	}
+	return m.Correlated(rho)
+}
+
+// Moments are the running sums eq. (9) folds a path into: the sum of
+// the cell means, of their variances and of their sigmas. Adding a
+// path's cells in order and then calling Correlated is exactly
+// ConvolvePathCorrelated, so paths that share a prefix can share its
+// moments.
+type Moments struct{ Mu, SumVar, SumSigma float64 }
+
+// Add returns the moments of the path extended by one cell.
+func (m Moments) Add(c Normal) Moments {
+	return Moments{Mu: m.Mu + c.Mu, SumVar: m.SumVar + c.Sigma*c.Sigma, SumSigma: m.SumSigma + c.Sigma}
+}
+
+// Correlated is the path distribution of eq. (9), all distinct cell
+// pairs sharing the correlation rho in [-1, 1].
+func (m Moments) Correlated(rho float64) (Normal, error) {
 	if rho < -1 || rho > 1 {
 		return Normal{}, errors.New("dist: correlation outside [-1,1]")
 	}
-	mu := 0.0
-	sumVar := 0.0
-	sumSigma := 0.0
-	for _, c := range cells {
-		mu += c.Mu
-		sumVar += c.Sigma * c.Sigma
-		sumSigma += c.Sigma
-	}
-	// eq. (9): var = sum(sigma_i^2) + rho * sum_{i != j} sigma_i*sigma_j
-	//        = sum(sigma_i^2) + rho * ((sum sigma_i)^2 - sum sigma_i^2)
-	v := sumVar + rho*(sumSigma*sumSigma-sumVar)
+	// var = sum(sigma_i^2) + rho * sum_{i != j} sigma_i*sigma_j
+	//     = sum(sigma_i^2) + rho * ((sum sigma_i)^2 - sum sigma_i^2)
+	v := m.SumVar + rho*(m.SumSigma*m.SumSigma-m.SumVar)
 	if v < 0 {
 		v = 0 // negative rho can drive tiny negative rounding residue
 	}
-	return Normal{Mu: mu, Sigma: math.Sqrt(v)}, nil
+	return Normal{Mu: m.Mu, Sigma: math.Sqrt(v)}, nil
 }
 
 // ConvolvePathMatrix implements eq. (8) with a full correlation matrix:

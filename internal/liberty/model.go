@@ -11,7 +11,6 @@ package liberty
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -127,7 +126,8 @@ type TimingArc struct {
 	Template string // name of the lu_table_template the tables use
 
 	// shared records that the four delay/transition tables share one
-	// (load, slew) grid, so Eval brackets a query once for all four.
+	// (load, slew) grid in contiguous backing, so Eval brackets a query
+	// once for all four.
 	// Prepare sets it; while it is false Eval looks each table up on its
 	// own, which is always right.
 	shared bool
@@ -135,14 +135,12 @@ type TimingArc struct {
 
 // Prepare works out once what Eval would otherwise re-derive on every
 // call: whether the arc's four delay and transition tables share their
-// axes. Builders call it after setting the last table and before the
+// axes, each in contiguous backing. Builders call it after setting the last table and before the
 // arc is shared. An arc never prepared evaluates through four
 // independent lookups; one whose tables change afterwards must be
 // prepared again.
 func (a *TimingArc) Prepare() {
-	a.shared = a.CellRise != nil && a.CellFall != nil && a.RiseTransition != nil && a.FallTransition != nil &&
-		lut.SameAxes(a.CellRise, a.CellFall) && lut.SameAxes(a.CellRise, a.RiseTransition) &&
-		lut.SameAxes(a.CellRise, a.FallTransition)
+	a.shared = lut.OneGrid(a.CellRise, a.CellFall, a.RiseTransition, a.FallTransition)
 }
 
 // IsConstraint reports whether the arc is a timing check (setup/hold)
@@ -157,17 +155,19 @@ func (a *TimingArc) IsConstraint() bool {
 // in ns) and returns the worse of the rise and fall delays and the worse
 // of the rise and fall transitions: the max-delay view every setup
 // analysis takes of an arc. A prepared arc whose tables share one grid
-// locates the query point once and interpolates all four tables from
-// it, bit-identical to four lookups.
+// locates the query point once and, when it lies on the grid (neither
+// NaN nor on a single-point axis), interpolates all four tables from it
+// inline, bit-identical to four lookups.
 func (a *TimingArc) Eval(load, slew float64) (delay, trans float64) {
 	if a.shared {
-		p := a.CellRise.Locate(load, slew)
-		delay = math.Max(a.CellRise.Interp(p), a.CellFall.Interp(p))
-		trans = math.Max(a.RiseTransition.Interp(p), a.FallTransition.Interp(p))
-		return delay, trans
+		if p := a.CellRise.Locate(load, slew); p.OnGrid() {
+			delay = max(a.CellRise.InterpGrid(p), a.CellFall.InterpGrid(p))
+			trans = max(a.RiseTransition.InterpGrid(p), a.FallTransition.InterpGrid(p))
+			return delay, trans
+		}
 	}
-	delay = math.Max(a.CellRise.Lookup(load, slew), a.CellFall.Lookup(load, slew))
-	trans = math.Max(a.RiseTransition.Lookup(load, slew), a.FallTransition.Lookup(load, slew))
+	delay = max(a.CellRise.Lookup(load, slew), a.CellFall.Lookup(load, slew))
+	trans = max(a.RiseTransition.Lookup(load, slew), a.FallTransition.Lookup(load, slew))
 	return delay, trans
 }
 

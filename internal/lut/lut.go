@@ -137,6 +137,18 @@ func SameAxes(a, b *Table) bool {
 	return true
 }
 
+// OneGrid reports whether the tables can share one Locate and read it
+// through InterpGrid: every one non-nil and Contiguous, all on the
+// first one's axes.
+func OneGrid(tables ...*Table) bool {
+	for _, t := range tables {
+		if t == nil || !t.Contiguous() || !SameAxes(tables[0], t) {
+			return false
+		}
+	}
+	return len(tables) > 0
+}
+
 // Hint-statistics counters. Lookup is the hottest function in the whole
 // pipeline (~10 ns/op), so the observability layer cannot afford an
 // always-on record: the counters hide behind one atomic bool whose load
@@ -216,7 +228,7 @@ func segmentHint(axis []float64, x float64, hint int) (int, float64) {
 // point is undefined, so no table entry can be the right answer);
 // ±Inf queries clamp to the table edge like any other out-of-range
 // value. Lookup is safe for concurrent use.
-func (t *Table) Lookup(load, slew float64) float64 { return t.Interp(t.Locate(load, slew)) }
+func (t *Table) Lookup(load, slew float64) float64 { return t.interp(t.Locate(load, slew)) }
 
 // Point is a (load, slew) query located on a pair of axes: the segment
 // each coordinate falls in and its position within it. Every table over
@@ -226,7 +238,13 @@ type Point struct {
 	li, sj int
 	lf, sf float64
 	nan    bool // load or slew is NaN: every table reads NaN
+	grid   bool // not NaN, and both axes have two or more points
 }
+
+// OnGrid reports whether the Point lies inside a two-dimensional grid:
+// not NaN, with two or more points on each axis. InterpGrid takes only
+// such Points; Locate decides it once for every table on the axes.
+func (p Point) OnGrid() bool { return p.grid }
 
 // Locate brackets (load, slew) on the table's axes, through and into
 // the table's segment hint. It is safe for concurrent use.
@@ -248,12 +266,24 @@ func (t *Table) Locate(load, slew float64) Point {
 	} else if hintStatsOn.Load() {
 		hintHits.Add(1)
 	}
-	return Point{li: li, sj: sj, lf: lf, sf: sf}
+	return Point{li: li, sj: sj, lf: lf, sf: sf, grid: len(t.Loads) > 1 && len(t.Slews) > 1}
 }
 
-// Interp interpolates the table at a Point located on the same axes
-// (SameAxes); a Point from other axes reads the wrong cells.
-func (t *Table) Interp(p Point) float64 {
+// InterpGrid interpolates a Contiguous table at an OnGrid Point located
+// on the same axes (SameAxes), bit-identical to Lookup: eqs. (2)-(4)
+// over the four grid values around it, small enough to inline.
+func (t *Table) InterpGrid(p Point) float64 {
+	q := t.flat[p.li*t.stride+p.sj:]
+	p1 := lerp(q[0], q[t.stride], p.lf)   // eq. (2): (Li, Sj) to (Li+1, Sj)
+	p2 := lerp(q[1], q[t.stride+1], p.lf) // eq. (3): (Li, Sj+1) to (Li+1, Sj+1)
+	return lerp(p1, p2, p.sf)             // eq. (4)
+}
+
+// interp interpolates the table at a Point located on its own axes.
+func (t *Table) interp(p Point) float64 {
+	if p.grid && t.flat != nil {
+		return t.InterpGrid(p)
+	}
 	if p.nan {
 		return math.NaN()
 	}
@@ -266,16 +296,6 @@ func (t *Table) Interp(p Point) float64 {
 	}
 	if len(t.Slews) == 1 {
 		return lerp(t.at(li, 0), t.at(li+1, 0), lf)
-	}
-	if t.flat != nil {
-		base := li*t.stride + sj
-		q11 := t.flat[base]            // (Li, Sj)
-		q21 := t.flat[base+t.stride]   // (Li+1, Sj)
-		q12 := t.flat[base+1]          // (Li, Sj+1)
-		q22 := t.flat[base+t.stride+1] // (Li+1, Sj+1)
-		p1 := lerp(q11, q21, lf)       // eq. (2)
-		p2 := lerp(q12, q22, lf)       // eq. (3)
-		return lerp(p1, p2, sf)        // eq. (4)
 	}
 	q11 := t.Values[li][sj]     // (Li, Sj)
 	q21 := t.Values[li+1][sj]   // (Li+1, Sj)

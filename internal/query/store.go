@@ -502,10 +502,10 @@ func (s *Store) buildDesignTables(nl *netlist.Netlist, stat *statlib.Library, cf
 	pSigma := pb.col("sigma_ns", TFloat)
 	pUpper := pb.col("mu_plus_3sigma_ns", TFloat)
 	for _, p := range ds.Paths {
-		pEnd.S = append(pEnd.S, p.Path.Endpoint.Name)
-		pFF.B = append(pFF.B, p.Path.Endpoint.IsFF)
+		pEnd.S = append(pEnd.S, p.Endpoint.Name)
+		pFF.B = append(pFF.B, p.Endpoint.IsFF)
 		pDepth.I = append(pDepth.I, int64(p.Depth))
-		pSlack.F = append(pSlack.F, p.Path.Endpoint.Slack)
+		pSlack.F = append(pSlack.F, p.Endpoint.Slack)
 		pMu.F = append(pMu.F, p.Dist.Mu)
 		pSigma.F = append(pSigma.F, p.Dist.Sigma)
 		pUpper.F = append(pUpper.F, p.Dist.ThreeSigmaUpper())

@@ -7,7 +7,6 @@
 package sta
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -16,7 +15,6 @@ import (
 
 	"stdcelltune/internal/liberty"
 	"stdcelltune/internal/netlist"
-	"stdcelltune/internal/robust"
 )
 
 // Config holds the timing context.
@@ -325,46 +323,40 @@ func (r *Result) WorstPath(ep Endpoint) Path {
 	// at exact size, and filled back to front — backtracking yields
 	// capture->launch order, the slice wants launch->capture.
 	depth := 0
-	for n := ep.Net; n != nil && n.Driver != nil; {
+	for n := ep.Net; n != nil && n.Driver != nil; _, n = r.Step(n) {
 		depth++
-		if n.Driver.Spec.IsSequential() {
-			break
-		}
-		n = n.Driver.Input(r.fromPin[n.ID])
 	}
 	if depth == 0 {
 		return Path{Endpoint: ep}
 	}
 	steps := make([]PathStep, depth)
-	i := depth - 1
-	n := ep.Net
-	for n != nil && n.Driver != nil {
-		inst := n.Driver
-		inPin := r.fromPin[n.ID]
-		step := PathStep{
-			Inst:    inst,
-			FromPin: inPin,
-			OutPin:  n.DrvPin,
-			Load:    r.Load[n.ID],
-		}
-		if inst.Spec.IsSequential() {
-			step.Slew = r.Cfg.InputSlew
-			step.Delay = r.Arrival[n.ID]
-			steps[i] = step
-			break
-		}
-		inNet := inst.Input(inPin)
-		var prevArr float64
-		if inNet != nil {
-			step.Slew = r.Slew[inNet.ID]
-			prevArr = r.Arrival[inNet.ID]
-		}
-		step.Delay = r.Arrival[n.ID] - prevArr
-		steps[i] = step
-		i--
-		n = inNet
+	for i, n := depth-1, ep.Net; i >= 0; i-- {
+		steps[i], n = r.Step(n)
 	}
 	return Path{Endpoint: ep, Steps: steps}
+}
+
+// Step returns the cell traversal that drives n on its worst-arrival
+// path, and the net that path enters it through: nil where the path
+// launches (a sequential cell, or a cell with no arc into the net such
+// as a tie cell). A non-nil net with no driver is a primary input. n
+// must have a driver.
+func (r *Result) Step(n *netlist.Net) (PathStep, *netlist.Net) {
+	inst := n.Driver
+	step := PathStep{Inst: inst, FromPin: r.fromPin[n.ID], OutPin: n.DrvPin, Load: r.Load[n.ID]}
+	if inst.Spec.IsSequential() {
+		step.Slew = r.Cfg.InputSlew
+		step.Delay = r.Arrival[n.ID]
+		return step, nil
+	}
+	inNet := inst.Input(step.FromPin)
+	var prevArr float64
+	if inNet != nil {
+		step.Slew = r.Slew[inNet.ID]
+		prevArr = r.Arrival[inNet.ID]
+	}
+	step.Delay = r.Arrival[n.ID] - prevArr
+	return step, inNet
 }
 
 // WorstPaths extracts the worst path for every unique endpoint — the
@@ -375,29 +367,6 @@ func (r *Result) WorstPaths() []Path {
 		out = append(out, r.WorstPath(ep))
 	}
 	return out
-}
-
-// WorstPathsCtx is WorstPaths with the backtracking fanned out as
-// contiguous endpoint ranges (robust.ForRanges). Each endpoint's path
-// lands at its endpoint's index, so the result order (and every path in
-// it) is identical to the serial WorstPaths; backtracking only reads
-// the Result, so ranges never contend. Cancelling the context abandons
-// the remaining endpoints and returns the context error.
-func (r *Result) WorstPathsCtx(ctx context.Context) ([]Path, error) {
-	out := make([]Path, len(r.Endpoints))
-	err := robust.ForRanges(ctx, "sta.worst_paths", robust.Split(len(r.Endpoints)), func(ctx context.Context, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			out[i] = r.WorstPath(r.Endpoints[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CriticalPath returns the worst path of the worst endpoint.

@@ -141,13 +141,13 @@ func FromLiberty(lib *liberty.Library) (*Library, error) {
 					quarantined = true
 					break pins
 				}
-				p.Arcs = append(p.Arcs, &Arc{
+				p.Arcs = append(p.Arcs, (&Arc{
 					RelatedPin: la.RelatedPin,
 					MeanRise:   cloneIn(la.CellRise, sl.slab),
 					MeanFall:   cloneIn(la.CellFall, sl.slab),
 					SigmaRise:  la.SigmaRise.CloneIn(sl.slab),
 					SigmaFall:  la.SigmaFall.CloneIn(sl.slab),
-				})
+				}).prepared())
 			}
 			c.Pins = append(c.Pins, p)
 		}

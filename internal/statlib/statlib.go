@@ -73,6 +73,17 @@ type Arc struct {
 	MeanFall   *lut.Table
 	SigmaRise  *lut.Table
 	SigmaFall  *lut.Table
+
+	// shared records that the four tables share one grid (lut.OneGrid),
+	// so Stats brackets a query once for all four. The library builders
+	// set it; while it is false Stats looks each table up on its own.
+	shared bool
+}
+
+// prepared sets the arc's shared flag from its tables and returns it.
+func (a *Arc) prepared() *Arc {
+	a.shared = lut.OneGrid(a.MeanRise, a.MeanFall, a.SigmaRise, a.SigmaFall)
+	return a
 }
 
 // Build folds N Monte-Carlo library instances into a statistical library
@@ -356,11 +367,11 @@ func buildCell(cells []*liberty.Cell, slab *lut.Slab) (*Cell, error) {
 			if err != nil {
 				return nil, err
 			}
-			sp.Arcs = append(sp.Arcs, &Arc{
+			sp.Arcs = append(sp.Arcs, (&Arc{
 				RelatedPin: refPin.Timing[ai].RelatedPin,
 				MeanRise:   mr, SigmaRise: sr,
 				MeanFall: mf, SigmaFall: sf,
-			})
+			}).prepared())
 		}
 		sc.Pins = append(sc.Pins, sp)
 	}
@@ -446,7 +457,7 @@ func foldSampleCell(lc stdcell.LayoutCell, rows [][]float64, col, buf []float64,
 					}
 				}
 			}
-			sp.Arcs = append(sp.Arcs, arc)
+			sp.Arcs = append(sp.Arcs, arc.prepared())
 		}
 		sc.Pins = append(sc.Pins, sp)
 	}
@@ -536,8 +547,16 @@ func (p *Pin) Arc(related string) *Arc {
 // sigma of the arc at an operating point, via bilinear interpolation
 // (Section V.A).
 func (a *Arc) Stats(load, slew float64) dist.Normal {
-	mu := math.Max(a.MeanRise.Lookup(load, slew), a.MeanFall.Lookup(load, slew))
-	sg := math.Max(a.SigmaRise.Lookup(load, slew), a.SigmaFall.Lookup(load, slew))
+	if a.shared {
+		if p := a.MeanRise.Locate(load, slew); p.OnGrid() {
+			return dist.Normal{
+				Mu:    max(a.MeanRise.InterpGrid(p), a.MeanFall.InterpGrid(p)),
+				Sigma: max(a.SigmaRise.InterpGrid(p), a.SigmaFall.InterpGrid(p)),
+			}
+		}
+	}
+	mu := max(a.MeanRise.Lookup(load, slew), a.MeanFall.Lookup(load, slew))
+	sg := max(a.SigmaRise.Lookup(load, slew), a.SigmaFall.Lookup(load, slew))
 	return dist.Normal{Mu: mu, Sigma: sg}
 }
 

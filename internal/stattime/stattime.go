@@ -15,8 +15,8 @@ import (
 	"sort"
 
 	"stdcelltune/internal/dist"
+	"stdcelltune/internal/netlist"
 	"stdcelltune/internal/obs"
-	"stdcelltune/internal/robust"
 	"stdcelltune/internal/sta"
 	"stdcelltune/internal/statlib"
 	"stdcelltune/internal/stdcell"
@@ -24,9 +24,9 @@ import (
 
 // PathStats is the statistical timing of one worst path.
 type PathStats struct {
-	Path  sta.Path
-	Dist  dist.Normal // path delay distribution (eqs. 5, 10)
-	Depth int         // number of cells on the path
+	Endpoint sta.Endpoint
+	Dist     dist.Normal // path delay distribution (eqs. 5, 10)
+	Depth    int         // number of cells on the path
 }
 
 // MeanPlus3Sigma returns the mu+3sigma worst-case bound (Fig. 14).
@@ -83,7 +83,7 @@ func (d *DesignStats) SortByDepth() {
 		if d.Paths[i].Depth != d.Paths[j].Depth {
 			return d.Paths[i].Depth < d.Paths[j].Depth
 		}
-		return d.Paths[i].Path.Endpoint.Name < d.Paths[j].Path.Endpoint.Name
+		return d.Paths[i].Endpoint.Name < d.Paths[j].Endpoint.Name
 	})
 }
 
@@ -96,66 +96,94 @@ func Analyze(r *sta.Result, stat *statlib.Library, rho float64) (*DesignStats, e
 	return AnalyzeCtx(context.Background(), r, stat, rho)
 }
 
-// AnalyzeCtx is Analyze bound to a context. The per-path analysis fans
-// out as contiguous path ranges (robust.ForRanges): every path's
-// distribution lands at its path's index and the per-range degradation
-// tallies merge by summation, so the result — path order, every
-// distribution, the design convolution and the Degraded counts — is
-// identical to a serial run. Each range interns its repeated (cell,
-// arc, load, slew) step lookups in a map of its own, which collapses
-// the bilinear interpolation work on designs where many paths share
-// cell instances.
+// netMoments are the eq. (9) moments of the worst path into one net,
+// summed launch → net. A net's worst path is its fromPin parent's worst
+// path plus one step, so the moments are prefix sums along the
+// worst-arrival tree and every net on some worst path is evaluated once.
+type netMoments struct {
+	m     dist.Moments
+	depth int32 // cells on the path, tie cells included; 0 = not yet computed
+	cells int32 // cells that contribute moments (all but tie cells)
+}
+
+// AnalyzeCtx is Analyze bound to a context, checked every 64
+// endpoints. It materializes no paths: walking back from each endpoint
+// through the worst-arrival tree to the first net whose moments are
+// known, it computes the new nets launch → capture, each from its
+// parent's moments plus its own step. Every path's moments therefore
+// come from the same additions in the same order as convolving its
+// steps one by one (dist.ConvolvePathCorrelated), so every result is
+// bit-identical to the path-by-path analysis at any rho.
 func AnalyzeCtx(ctx context.Context, r *sta.Result, stat *statlib.Library, rho float64) (*DesignStats, error) {
-	all, err := r.WorstPathsCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	paths := all[:0] // filtered in place: all is not read again
-	for _, path := range all {
-		if len(path.Steps) == 0 {
+	span := obs.TracerFrom(ctx).Start("stattime.analyze", "analyze")
+	defer span.End()
+	nets := make([]netMoments, len(r.Arrival))
+	var degraded []bool // per net, allocated at the first quarantined step
+	ds := &DesignStats{Rho: rho, Degraded: make(map[string]int), Paths: make([]PathStats, 0, len(r.Endpoints))}
+	pathDists := make([]dist.Normal, 0, len(r.Endpoints))
+	var chain []*netlist.Net // nets of the current walk, capture → launch
+	for i, ep := range r.Endpoints {
+		if i%64 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if ep.Net.Driver == nil {
 			continue // endpoint fed directly by a primary input
 		}
-		paths = append(paths, path)
+		chain = chain[:0]
+		n := ep.Net
+		for ; n != nil && n.Driver != nil && nets[n.ID].depth == 0; _, n = r.Step(n) {
+			chain = append(chain, n)
+		}
+		var acc netMoments // launch: no cells yet
+		if n != nil && n.Driver != nil {
+			acc = nets[n.ID]
+		}
+		for j := len(chain) - 1; j >= 0; j-- {
+			n := chain[j]
+			acc.depth++
+			if n.Driver.Spec.Kind != stdcell.KindTie { // tie cells have no timing arcs and no variation
+				step, _ := r.Step(n)
+				c, deg, err := stepDist(step, stat)
+				if err != nil {
+					return nil, err
+				}
+				if deg {
+					if degraded == nil {
+						degraded = make([]bool, len(nets))
+					}
+					degraded[n.ID] = true
+				}
+				acc.m = acc.m.Add(c)
+				acc.cells++
+			}
+			nets[n.ID] = acc
+		}
+		at := nets[ep.Net.ID]
+		ps := PathStats{Endpoint: ep, Depth: int(at.depth)}
+		if at.cells > 0 {
+			var err error
+			if ps.Dist, err = at.m.Correlated(rho); err != nil {
+				return nil, err
+			}
+		}
+		ds.Paths = append(ds.Paths, ps)
+		pathDists = append(pathDists, ps.Dist)
 	}
-	if len(paths) == 0 {
+	if len(ds.Paths) == 0 {
 		return nil, fmt.Errorf("stattime: design has no cell paths")
 	}
-	span := obs.TracerFrom(ctx).Start("stattime.analyze", "analyze", "paths", len(paths))
-	defer span.End()
-	results := make([]PathStats, len(paths))
-	bounds := robust.Split(len(paths))
-	tallies := make([]map[string]int, len(bounds)-1) // one per range
-	err = robust.ForRanges(ctx, "stattime.paths", bounds, func(ctx context.Context, lo, hi int) error {
-		depth := 0
-		for _, path := range paths[lo:hi] {
-			depth = max(depth, len(path.Steps))
-		}
-		an := &analyzer{stat: stat, rho: rho, intern: make(map[stepKey]stepStats), scratch: make([]dist.Normal, 0, depth)}
-		deg := make(map[string]int)
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
+	span.Set("paths", len(ds.Paths))
+	if degraded != nil {
+		// Degraded counts (path, step) pairs: each degraded net once per
+		// endpoint whose worst path crosses it.
+		for _, ps := range ds.Paths {
+			for n := ps.Endpoint.Net; n != nil && n.Driver != nil; _, n = r.Step(n) {
+				if degraded[n.ID] {
+					ds.Degraded[n.Driver.Spec.Name]++
+				}
 			}
-			ps, err := an.pathDist(paths[i], deg)
-			if err != nil {
-				return err
-			}
-			results[i] = ps
-		}
-		tallies[sort.SearchInts(bounds, lo)] = deg
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ds := &DesignStats{Rho: rho, Degraded: make(map[string]int), Paths: results}
-	pathDists := make([]dist.Normal, len(results))
-	for i, ps := range results {
-		pathDists[i] = ps.Dist
-	}
-	for _, deg := range tallies {
-		for cell, n := range deg {
-			ds.Degraded[cell] += n
 		}
 	}
 	design, err := dist.ConvolveDesign(pathDists)
@@ -178,92 +206,41 @@ func (d *DesignStats) DegradedSteps() int {
 
 // PathDist computes the delay distribution of one path: per-step
 // statistics interpolated from the statistical library at the step's
-// operating point, convolved along the path.
+// operating point, convolved along the path. A step through a
+// quarantined cell takes its nominal STA delay with zero sigma.
 func PathDist(path sta.Path, stat *statlib.Library, rho float64) (PathStats, error) {
-	an := &analyzer{stat: stat, rho: rho}
-	return an.pathDist(path, nil)
-}
-
-// analyzer carries the state of one range of an Analyze call: the
-// library, the correlation, and (when non-nil) the intern table of
-// resolved step statistics, keyed by (cell, out pin, in pin, load,
-// slew). A given key always resolves to the same statistics, so
-// interning cannot change any result — only skip repeated name
-// resolution and bilinear interpolation.
-type analyzer struct {
-	stat   *statlib.Library
-	rho    float64
-	intern map[stepKey]stepStats // nil disables interning (exported PathDist)
-
-	// scratch, when non-nil, is the per-path step buffer reused across
-	// pathDist calls; nil allocates one per path.
-	scratch []dist.Normal
-}
-
-type stepKey struct {
-	cell, out, from string
-	load, slew      float64
-}
-
-type stepStats struct {
-	n   dist.Normal
-	err error
-}
-
-func (a *analyzer) pathDist(path sta.Path, degraded map[string]int) (PathStats, error) {
-	var cells []dist.Normal
-	if a.scratch != nil {
-		cells = a.scratch[:0]
-		defer func() { a.scratch = cells[:0] }()
-	} else {
-		cells = make([]dist.Normal, 0, len(path.Steps))
-	}
+	cells := make([]dist.Normal, 0, len(path.Steps))
 	for _, step := range path.Steps {
 		if step.Inst.Spec.Kind == stdcell.KindTie {
-			continue // tie cells have no timing arcs and no variation
+			continue
 		}
-		n, err := a.stepStats(step)
+		n, _, err := stepDist(step, stat)
 		if err != nil {
-			if !a.stat.Quarantined(step.Inst.Spec.Name) {
-				return PathStats{}, err
-			}
-			// Quarantined cell: its statistics were degenerate, so take
-			// the step's nominal STA delay as a zero-sigma contribution
-			// instead of killing the analysis.
-			if degraded != nil {
-				degraded[step.Inst.Spec.Name]++
-			}
-			n = dist.Normal{Mu: step.Delay}
+			return PathStats{}, err
 		}
 		cells = append(cells, n)
 	}
-	if len(cells) == 0 {
-		return PathStats{Path: path, Depth: len(path.Steps)}, nil
+	ps := PathStats{Endpoint: path.Endpoint, Depth: len(path.Steps)}
+	if len(cells) > 0 {
+		var err error
+		if ps.Dist, err = dist.ConvolvePathCorrelated(cells, rho); err != nil {
+			return PathStats{}, err
+		}
 	}
-	d, err := dist.ConvolvePathCorrelated(cells, a.rho)
-	if err != nil {
-		return PathStats{}, err
-	}
-	return PathStats{Path: path, Dist: d, Depth: len(path.Steps)}, nil
+	return ps, nil
 }
 
-// stepStats resolves one step through the intern table when one is
-// attached. NaN loads or slews never intern (NaN keys miss every map
-// probe), which is fine: they are pathological and rare by definition.
-func (a *analyzer) stepStats(step sta.PathStep) (dist.Normal, error) {
-	if a.intern == nil {
-		return StepStats(step, a.stat)
+// stepDist is one step's delay distribution: the statistical library's
+// at the step's operating point, or, through a cell quarantined out of
+// the library (its statistics were degenerate), the step's nominal STA
+// delay with zero sigma, reported as degraded. A cell missing for any
+// other reason is an error.
+func stepDist(step sta.PathStep, stat *statlib.Library) (n dist.Normal, degraded bool, err error) {
+	n, err = StepStats(step, stat)
+	if err != nil && stat.Quarantined(step.Inst.Spec.Name) {
+		return dist.Normal{Mu: step.Delay}, true, nil
 	}
-	key := stepKey{
-		cell: step.Inst.Spec.Name, out: step.OutPin, from: step.FromPin,
-		load: step.Load, slew: step.Slew,
-	}
-	if s, ok := a.intern[key]; ok {
-		return s.n, s.err
-	}
-	n, err := StepStats(step, a.stat)
-	a.intern[key] = stepStats{n: n, err: err}
-	return n, err
+	return n, false, err
 }
 
 // StepStats interpolates the statistical library for one path step.

@@ -2,7 +2,9 @@ package stattime
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"strings"
@@ -311,87 +313,196 @@ func TestAnalyzeDegradesQuarantinedCell(t *testing.T) {
 	}
 }
 
-// analyzeSerial reproduces the seed's sequential Analyze exactly: one
-// pathDist per worst path in endpoint order, no worker pool, no
-// interning. The concurrent AnalyzeCtx must match it bit for bit.
-func analyzeSerial(t *testing.T, r *sta.Result, stat *statlib.Library, rho float64) *DesignStats {
-	t.Helper()
+// analyzeReference is the path-by-path analysis the prefix-moment pass
+// replaced, kept as the reference Analyze must match bit for bit: one
+// materialized worst path per endpoint (WorstPaths), each step looked
+// up on its own (StepStats, or its nominal delay with zero sigma through
+// a quarantined cell, tallied per step), and each path convolved
+// launch → capture by dist.ConvolvePathCorrelated.
+func analyzeReference(r *sta.Result, stat *statlib.Library, rho float64) (*DesignStats, error) {
 	ds := &DesignStats{Rho: rho, Degraded: make(map[string]int)}
 	var pathDists []dist.Normal
 	for _, path := range r.WorstPaths() {
 		if len(path.Steps) == 0 {
-			continue
+			continue // endpoint fed directly by a primary input
 		}
-		an := &analyzer{stat: stat, rho: rho}
-		ps, err := an.pathDist(path, ds.Degraded)
-		if err != nil {
-			t.Fatal(err)
+		var cells []dist.Normal
+		for _, step := range path.Steps {
+			if step.Inst.Spec.Kind == stdcell.KindTie {
+				continue
+			}
+			n, err := StepStats(step, stat)
+			if err != nil {
+				if !stat.Quarantined(step.Inst.Spec.Name) {
+					return nil, err
+				}
+				ds.Degraded[step.Inst.Spec.Name]++
+				n = dist.Normal{Mu: step.Delay}
+			}
+			cells = append(cells, n)
+		}
+		ps := PathStats{Endpoint: path.Endpoint, Depth: len(path.Steps)}
+		if len(cells) > 0 {
+			d, err := dist.ConvolvePathCorrelated(cells, rho)
+			if err != nil {
+				return nil, err
+			}
+			ps.Dist = d
 		}
 		ds.Paths = append(ds.Paths, ps)
 		pathDists = append(pathDists, ps.Dist)
 	}
 	design, err := dist.ConvolveDesign(pathDists)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	ds.Design = design
-	return ds
+	return ds, nil
 }
 
-// TestAnalyzeConcurrentMatchesSerial: the pooled, interned AnalyzeCtx
-// must reproduce the serial analysis exactly — same path order, every
-// distribution bit-identical, same design convolution, same Degraded
-// tallies — including when quarantined cells degrade mid-path.
-func TestAnalyzeConcurrentMatchesSerial(t *testing.T) {
+// checkMatchesReference fails unless Analyze reproduces
+// analyzeReference exactly: the same endpoints in the same order, the
+// same depths, every path's and the design's mean and sigma to the bit,
+// and the same Degraded tallies. It returns Analyze's result.
+func checkMatchesReference(t *testing.T, name string, r *sta.Result, stat *statlib.Library, rho float64) *DesignStats {
+	t.Helper()
+	want, err := analyzeReference(r, stat, rho)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	got, err := Analyze(r, stat, rho)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(got.Paths) != len(want.Paths) {
+		t.Fatalf("%s: %d paths want %d", name, len(got.Paths), len(want.Paths))
+	}
+	bits := func(n dist.Normal) [2]uint64 { return [2]uint64{math.Float64bits(n.Mu), math.Float64bits(n.Sigma)} }
+	for i := range got.Paths {
+		g, w := got.Paths[i], want.Paths[i]
+		if g.Endpoint.Name != w.Endpoint.Name || g.Depth != w.Depth {
+			t.Fatalf("%s: path %d is %s/%d want %s/%d", name, i, g.Endpoint.Name, g.Depth, w.Endpoint.Name, w.Depth)
+		}
+		if bits(g.Dist) != bits(w.Dist) {
+			t.Fatalf("%s: path %d (%s) dist %+v want %+v (bit-identical)", name, i, g.Endpoint.Name, g.Dist, w.Dist)
+		}
+	}
+	if bits(got.Design) != bits(want.Design) || got.Rho != want.Rho {
+		t.Fatalf("%s: design %+v rho %g want %+v rho %g", name, got.Design, got.Rho, want.Design, want.Rho)
+	}
+	if !maps.Equal(got.Degraded, want.Degraded) {
+		t.Fatalf("%s: degraded %v want %v", name, got.Degraded, want.Degraded)
+	}
+	return got
+}
+
+// referenceRhos are the correlations the reference checks run at: the
+// paper's rho = 0 and one positive and one negative rho, where eq. (9)'s
+// cross term and its clamp at 0 come in.
+var referenceRhos = []float64{0, 0.25, -0.3}
+
+// mixedNetlist builds the path shapes the prefix-moment pass treats
+// specially, in one design: an FF -> INV chain -> FF path; a fan-out
+// whose branches share the chain's first inverter; a tie cell driving a
+// buffer into an FF and a tie cell driving an FF directly (paths with a
+// tie step, the second with no cell that contributes moments); and a
+// primary output fed straight by a primary input (no steps at all).
+func mixedNetlist(t *testing.T) *netlist.Netlist {
+	t.Helper()
 	c, _ := env(t)
-	libs := variation.Instances(c, variation.Config{N: 8, Seed: 11})
-	sl, err := statlib.Build("cmp", libs)
+	nl := netlist.New("mixed", c)
+	cell := func(spec string, in *netlist.Net) *netlist.Net {
+		g := nl.AddInstance("", c.Spec(spec))
+		if in != nil {
+			nl.Connect(g, g.Spec.Inputs[0], in)
+		}
+		out := nl.AddNet("")
+		nl.Drive(g, g.Spec.Outputs[0], out)
+		return out
+	}
+	capture := func(name string, d *netlist.Net) {
+		ff := nl.AddInstance(name, c.Spec("DFQ_2"))
+		nl.Connect(ff, "D", d)
+		q := nl.AddNet("")
+		nl.Drive(ff, "Q", q)
+		nl.MarkOutput(name+"_q", q)
+	}
+	launch := nl.AddInstance("launch", c.Spec("DFQ_2"))
+	nl.Connect(launch, "D", nl.AddInput("si"))
+	q := nl.AddNet("")
+	nl.Drive(launch, "Q", q)
+	first := cell("INV_2", q)
+	cur := first
+	for i := 0; i < 5; i++ {
+		cur = cell("INV_2", cur)
+	}
+	capture("chain", cur)
+	capture("branch_buf", cell("BUF_4", first))
+	nl.MarkOutput("branch_po", cell("INV_2", cell("INV_2", first)))
+	capture("tie_buf", cell("BUF_4", cell("TIEH_1", nil)))
+	capture("tie_only", cell("TIEL_1", nil))
+	nl.MarkOutput("feedthrough", nl.AddInput("pi"))
+	return nl
+}
+
+// TestAnalyzeMatchesPathByPath: the prefix-moment pass reproduces the
+// path-by-path reference bit for bit on chains, shared prefixes, tie
+// steps and input-fed endpoints, clean and with a quarantined cell, at
+// every reference rho. The flow's synthesized designs are checked in
+// TestAnalyzeMatchesPathByPathOnFlow.
+func TestAnalyzeMatchesPathByPath(t *testing.T) {
+	c, _ := env(t)
+	// TestAnalyzeDegradesQuarantinedCell's library and chain.
+	sl, err := statlib.Build("q", variation.Instances(c, variation.Config{N: 5, Seed: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nl := invChainNetlist(t, 9)
-	r, err := sta.Analyze(nl, sta.DefaultConfig(6))
+	chain, err := sta.Analyze(invChainNetlist(t, 6), sta.DefaultConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(name string) {
-		t.Helper()
-		want := analyzeSerial(t, r, sl, 0.25)
-		for run := 0; run < 5; run++ { // several runs: scheduling must not matter
-			got, err := Analyze(r, sl, 0.25)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Paths) != len(want.Paths) {
-				t.Fatalf("%s: %d paths want %d", name, len(got.Paths), len(want.Paths))
-			}
-			for i := range got.Paths {
-				g, w := got.Paths[i], want.Paths[i]
-				if g.Path.Endpoint.Name != w.Path.Endpoint.Name || g.Depth != w.Depth {
-					t.Fatalf("%s: path %d is %s/%d want %s/%d (ordering)",
-						name, i, g.Path.Endpoint.Name, g.Depth, w.Path.Endpoint.Name, w.Depth)
-				}
-				if g.Dist != w.Dist {
-					t.Fatalf("%s: path %d dist %+v want %+v (bit-identical)", name, i, g.Dist, w.Dist)
-				}
-			}
-			if got.Design != want.Design {
-				t.Fatalf("%s: design %+v want %+v", name, got.Design, want.Design)
-			}
-			if len(got.Degraded) != len(want.Degraded) {
-				t.Fatalf("%s: degraded %v want %v", name, got.Degraded, want.Degraded)
-			}
-			for cell, n := range want.Degraded {
-				if got.Degraded[cell] != n {
-					t.Fatalf("%s: degraded[%s]=%d want %d", name, cell, got.Degraded[cell], n)
-				}
+	mixed, err := sta.Analyze(mixedNetlist(t), sta.DefaultConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := map[string]int{}
+	for _, p := range mixed.WorstPaths() {
+		depth[p.Endpoint.Name] = p.Depth()
+	}
+	if depth["tie_buf"] != 2 || depth["tie_only"] != 1 || depth["feedthrough"] != 0 || depth["branch_buf"] != 3 {
+		t.Fatalf("mixed netlist worst-path depths %v", depth)
+	}
+	for _, quarantined := range []bool{false, true} {
+		if quarantined {
+			sl.Quarantine.Add("INV_2", "test: degenerate statistics")
+			delete(sl.Cells, "INV_2")
+		}
+		for _, rho := range referenceRhos {
+			name := fmt.Sprintf("quarantined=%v rho=%g", quarantined, rho)
+			checkMatchesReference(t, "chain "+name, chain, sl, rho)
+			ds := checkMatchesReference(t, "mixed "+name, mixed, sl, rho)
+			if quarantined && ds.Degraded["INV_2"] != 6+1+3 {
+				t.Fatalf("mixed %s: INV_2 degraded %d times, want 10 (chain 6, branch_buf 1, branch_po 3)",
+					name, ds.Degraded["INV_2"])
 			}
 		}
 	}
-	check("clean")
-	sl.Quarantine.Add("INV_2", "test: degenerate statistics")
-	delete(sl.Cells, "INV_2")
-	check("quarantined")
+}
+
+// TestAnalyzeCancelled: a cancelled context stops the pass with the
+// context's error and no statistics.
+func TestAnalyzeCancelled(t *testing.T) {
+	_, sl := env(t)
+	r, err := sta.Analyze(invChainNetlist(t, 3), sta.DefaultConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ds, err := AnalyzeCtx(ctx, r, sl, 0)
+	if !errors.Is(err, context.Canceled) || ds != nil {
+		t.Fatalf("cancelled AnalyzeCtx = %v, %v; want nil, context.Canceled", ds, err)
+	}
 }
 
 // fanNetlist builds chains FF -> k cells -> FF for k = 1..chains, the
@@ -425,10 +536,9 @@ func fanNetlist(t *testing.T, chains int) *netlist.Netlist {
 	return nl
 }
 
-// TestFanOutWorkerInvariant: worst-path backtracking and the per-path
+// TestFanOutWorkerInvariant: worst-path backtracking and the
 // statistical timing give bit-identical results at GOMAXPROCS 1, 2, 3
-// and 8, whichever way the paths fall into ranges, including the
-// Degraded tally of a quarantined cell merged across ranges.
+// and 8, including the Degraded tally of a quarantined cell.
 func TestFanOutWorkerInvariant(t *testing.T) {
 	c, _ := env(t)
 	sl, err := statlib.Build("fan", variation.Instances(c, variation.Config{N: 6, Seed: 3}))
@@ -442,10 +552,7 @@ func TestFanOutWorkerInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	render := func() string {
-		paths, err := r.WorstPathsCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		paths := r.WorstPaths()
 		ds, err := AnalyzeCtx(context.Background(), r, sl, 0.25)
 		if err != nil {
 			t.Fatal(err)
@@ -463,7 +570,7 @@ func TestFanOutWorkerInvariant(t *testing.T) {
 			b.WriteByte('\n')
 		}
 		for _, ps := range ds.Paths {
-			fmt.Fprintf(&b, "stat %s %d %x %x\n", ps.Path.Endpoint.Name, ps.Depth,
+			fmt.Fprintf(&b, "stat %s %d %x %x\n", ps.Endpoint.Name, ps.Depth,
 				math.Float64bits(ps.Dist.Mu), math.Float64bits(ps.Dist.Sigma))
 		}
 		fmt.Fprintf(&b, "design %x %x degraded %v\n",
